@@ -6,26 +6,17 @@ from .model import (
     END_OF_HORIZON,
     INSERT,
     Event,
-    Horizon,
     Prediction,
     PredictionBundle,
     l1_error,
     validate_bundle_sequence,
 )
 from .engine import Engine, ScheduleBug, WorkCounters, drain, run_offline, run_predicted
-from .incremental import lift_incremental, permanents_of
+from .incremental import lift_incremental
 from .decremental import DecrementalRun, lift_decremental
 from .boosting import Backstop, BoostConfig, SteppableEngine, backstop_run, boost_run
 from .timetree import PartitionTree
-from .scheduling import (
-    Assignment,
-    SlotLine,
-    fix_ordering,
-    greedy_assign,
-    harmonic_assign,
-    min_linf_error,
-    optimal_offline_assign,
-)
+from .scheduling import Assignment, SlotLine, fix_ordering
 from .problems import (
     connectivity_contract,
     counter_contract,
@@ -39,7 +30,6 @@ __all__ = [
     "END_OF_HORIZON",
     "INSERT",
     "Event",
-    "Horizon",
     "Prediction",
     "PredictionBundle",
     "l1_error",
@@ -51,7 +41,6 @@ __all__ = [
     "run_offline",
     "run_predicted",
     "lift_incremental",
-    "permanents_of",
     "DecrementalRun",
     "lift_decremental",
     "Backstop",
@@ -63,10 +52,6 @@ __all__ = [
     "Assignment",
     "SlotLine",
     "fix_ordering",
-    "greedy_assign",
-    "harmonic_assign",
-    "min_linf_error",
-    "optimal_offline_assign",
     "connectivity_contract",
     "counter_contract",
     "decremental_max_contract",

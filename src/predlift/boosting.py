@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from math import ceil, log2
 from typing import Any, Callable, Iterator
 
-from .engine import Engine
+from .engine import Engine, ScheduleBug
 from .model import Event, Prediction
+from .problems import ActiveSet
 
 PROGRESSED = "progressed"
 BUFFER_COMPLETE = "buffer_complete"
@@ -80,12 +81,13 @@ class SteppableEngine:
 
 
 class RecomputeBackstop:
-    """Trivially correct fully dynamic wrapper: from-scratch recomputation
-    of a daily oracle, one unit per oracle element touch."""
+    """Trivially correct fully dynamic wrapper: each day, ``answer``
+    recomputes the day's output from scratch on the current active set
+    (element -> payload), charged one unit per active element plus one."""
 
-    def __init__(self, oracle_step: Callable[[list[tuple[int, Event]]], tuple[Any, int]]):
-        self._oracle_step = oracle_step
-        self._history: list[tuple[int, Event]] = []
+    def __init__(self, answer: Callable[[dict[str, tuple]], Any]):
+        self._answer = answer
+        self._active = ActiveSet()
         self._buffer: deque[tuple[int, Event, int | None]] = deque()
         self._pending = 0
         self._output: Any = None
@@ -99,9 +101,9 @@ class RecomputeBackstop:
             if not self._buffer:
                 return BUFFER_COMPLETE
             day, ev, _ = self._buffer.popleft()
-            self._history.append((day, ev))
-            self._output, self._pending = self._oracle_step(self._history)
-            self._pending = max(1, self._pending)
+            self._active.apply(day, ev)
+            self._output = self._answer(self._active.items)
+            self._pending = len(self._active.items) + 1
         self._pending -= 1
         self.steps_taken += 1
         return PROGRESSED
@@ -147,6 +149,8 @@ class Backstop:
     def _guard(self, a, fn):
         try:
             return fn()
+        except ScheduleBug:
+            raise  # invalid input: every constituent would reject it
         except Exception as exc:  # drop a faulty constituent, keep going
             warnings.warn(f"backstop constituent {a!r} failed: {exc}")
             self.algorithms.remove(a)
@@ -192,10 +196,11 @@ def boost_run(
 ) -> tuple[list[Any], list[EpochStats]]:
     """Guess-and-double over an unknown horizon.
 
-    On each doubling day the bundle indexed by the old guess's log is
-    ingested (or the last available one), L fresh independent instances are
-    built for the doubled guess, and all previously seen events replay
-    through a new backstop before live traffic resumes.
+    On each doubling day the bundle indexed by the doubled guess's log is
+    ingested (or the last available one), so its earliest predictions span
+    the doubled horizon; L fresh independent instances are built for the
+    doubled guess, and all previously seen events replay through a new
+    backstop before live traffic resumes.
     """
     horizon_guess = 1
     meta: Backstop | None = None
@@ -210,7 +215,7 @@ def boost_run(
     for day, ev in stream:
         if day >= horizon_guess:
             close_epoch()
-            idx = max(1, horizon_guess.bit_length() - 1)
+            idx = horizon_guess.bit_length()
             while idx > 1 and idx not in bundles:
                 idx -= 1  # missing bundle: fall back to the last available
             bundle = bundles.get(idx, [])

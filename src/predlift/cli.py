@@ -21,6 +21,7 @@ from .problems import (
     counter_contract,
     decremental_max_contract,
     msf_problem,
+    oracle_answer,
     oracle_daily_outputs,
 )
 from .streamgen import (
@@ -112,11 +113,8 @@ def _run_offline_problem(args):
         eng = run_predicted(problem, T, predictions, stream, args.seed, payload_registry=registry)
     elif args.mode == "backstopped":
         eng = Engine(problem, T, args.seed, payload_registry=registry)
-
-        def oracle_step(history):
-            return oracle_daily_outputs(args.problem, history)[-1], len(history)
-
-        meta = Backstop([SteppableEngine(eng, predictions), RecomputeBackstop(oracle_step)])
+        backstop = RecomputeBackstop(lambda active: oracle_answer(args.problem, active, registry))
+        meta = Backstop([SteppableEngine(eng, predictions), backstop])
         for day, ev in stream:
             meta.feed(day, ev)
         return list(zip((d for d, _ in stream), meta.outputs)), eng.counters
@@ -146,11 +144,7 @@ def _run_offline_problem(args):
 
 
 def _run_decmax(args):
-    predicted_set, events, _ = (
-        fileio.read_insertion_predicted_instance(args.instance)[0],
-        fileio.read_insertion_predicted_instance(args.instance)[1],
-        None,
-    )
+    predicted_set, events = fileio.read_insertion_predicted_instance(args.instance)
     if args.mode == "brute-force":
         return [(day, out) for (day, _, _), out in zip(events, _decmax_oracle(events))], None
     T = len(events)

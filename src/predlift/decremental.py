@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol
 
-from .engine import Engine, drain
+from .engine import Engine, ScheduleBug, drain
 from .model import DELETE, END_OF_HORIZON, INSERT, Event
 from .incremental import lift_incremental
 
@@ -82,7 +82,6 @@ class DecrementalRun:
         self.generation: dict[str, int] = {el: 0 for el in self.ground}
         self.initialize_units = 0
         self.out_of_set_inserts = 0  # the theorem's K
-        self.reinits = 0
         self.engine = Engine(lift_incremental(_AntiContract(self)), T, seed, jit=True)
         self.engine.preload_day0([(self._anti(el), payload) for el, _, payload in predicted_set])
         for el, day, _ in predicted_set:
@@ -110,6 +109,13 @@ class DecrementalRun:
             anti = self._anti(ev.element)
             drain(self.engine.process_day(day, Event(anti, DELETE)))
         else:
+            # e is present exactly when its current anti-instance's deletion
+            # has happened
+            rec = None
+            if ev.element in self.ground:
+                rec = self.engine.schedule.by_key.get((self._anti(ev.element), DELETE))
+            if rec is None or not rec.realized:
+                raise ScheduleBug(f"day {day}: deletion of absent element {ev.element}")
             self.generation[ev.element] += 1
             anti = self._anti(ev.element)
             pred = END_OF_HORIZON if reinsertion_day is None else reinsertion_day
@@ -131,7 +137,6 @@ class DecrementalRun:
         self.engine.schedule.add(anti, INSERT, 0, realized=True)
         self.engine.schedule.add(anti, DELETE, day, realized=True)
         self.out_of_set_inserts += 1
-        self.reinits += 1
         drain(self.engine.retrigger(day, self.T + 1))
 
     @property

@@ -23,11 +23,12 @@ any single unit (see the boosting module).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterator
 
 from .model import DELETE, END_OF_HORIZON, INSERT, Event, Prediction
-from .scheduling import OpCounter, SlotLine, fix_ordering, harmonic_assign
+from .scheduling import Assignment, OpCounter, SlotLine, fix_ordering
 from .timetree import PartitionTree
 
 
@@ -53,7 +54,6 @@ class WorkCounters:
     day_overhead: int = 0
     batch_max: int = 0
     depth: int = 0
-    reinits: int = 0
 
     def total_units(self) -> int:
         return (
@@ -140,9 +140,10 @@ class Schedule:
 
 
 class WindowCtx:
-    """What a window's computation may look at: its span, its own unordered
-    event set, the parent window's event set, and current element lifetimes
-    (the parent's update set folded into reachable state)."""
+    """What a window's computation may look at: its span ``start``..``end``
+    and its parent's span, its own unordered event set, the slice of the
+    parent's event set where its permanent elements have events, current
+    element lifetimes, and element payloads."""
 
     __slots__ = ("_engine", "nid", "start", "end")
 
@@ -152,14 +153,6 @@ class WindowCtx:
         self.start = engine.tree.start[nid]
         self.end = engine.tree.end[nid]
 
-    @property
-    def T(self) -> int:
-        return self._engine.T
-
-    @property
-    def day_span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
     def parent_span(self) -> tuple[int, int] | None:
         p = self._engine.tree.parent[self.nid]
         if p == -1:
@@ -168,14 +161,6 @@ class WindowCtx:
 
     def events(self) -> list[Rec]:
         return self._engine.schedule.events_in(self.start, self.end)
-
-    def parent_events(self):
-        """Events of the parent span; for the root, every record including
-        pre-horizon and parked ones."""
-        span = self.parent_span()
-        if span is None:
-            return self._engine.schedule.all_records()
-        return self._engine.schedule.events_in(*span)
 
     def permanent_candidates(self):
         """The slice of the parent's update set where a permanent element
@@ -212,13 +197,15 @@ class Engine:
 
     ``problem`` must provide::
 
-        root_memory() -> memory | None        state above the root (None lets
-                                              compute_window build it)
         compute_window(ctx, parent_memory) -> (memory, compute_units, clone_units)
+                                              parent_memory is None for the root
         day_output(leaf_memory, ctx) -> answer
         query(leaf_memory, args) -> answer    optional
 
-    In just-in-time mode (``jit=True``) windows are first computed on their
+    ``memory[nid]`` holds a window's computed memory, or None while the
+    window is not live; only live windows are recomputed.  Outside
+    just-in-time mode every window goes live when the predictions are
+    ingested.  In just-in-time mode (``jit=True``) windows go live on their
     start day and insertion events arrive online carrying a predicted
     deletion day (scheduled against a persistent slot line).
     """
@@ -233,7 +220,6 @@ class Engine:
     ):
         self.problem = problem
         self.T = T
-        self.seed = seed
         self.jit = jit
         self.counters = WorkCounters()
         self.schedule = Schedule(T)
@@ -242,7 +228,6 @@ class Engine:
         self.tree = PartitionTree.build(T, seed ^ 0x5EED)
         self.counters.depth = self.tree.depth()
         self.memory: list[Any] = [None] * self.tree.n_nodes()
-        self.active = [False] * self.tree.n_nodes()
         self._rng = random.Random(seed)
         self._op_counter = OpCounter()
         self._slotline = SlotLine(T, self._op_counter)
@@ -263,8 +248,6 @@ class Engine:
             seen.add(p.event.key)
         before = self._op_counter.ops
         days = [self._slotline.assign_harmonic(p.predicted_day, self._rng) for p in live]
-        from .scheduling import Assignment
-
         assignment = fix_ordering(Assignment(live, days, self.T))
         self.counters.scheduler_ops += self._op_counter.ops - before
         yield max(1, self._op_counter.ops - before)
@@ -316,19 +299,14 @@ class Engine:
         return max(1, units)
 
     def full_compute(self, bucket: str, activate: bool = False) -> Iterator[int]:
-        """Recompute the root and every (active) descendant, breadth-first."""
-        if activate:
-            self.active[0] = True
-        if self.active[0]:
-            yield self._recompute(0, bucket)
-        for nid in self.tree.bfs_descendants(0):
-            if activate:
-                self.active[nid] = True
-            if self.active[nid]:
+        """Recompute the root and every live descendant (every descendant
+        when ``activate``), breadth-first."""
+        for nid in chain((0,), self.tree.bfs_descendants(0)):
+            if activate or self.memory[nid] is not None:
                 yield self._recompute(nid, bucket)
 
     def retrigger(self, t1: int, t2: int, widen: bool = False) -> Iterator[int]:
-        """Recompute every active descendant of the smallest window holding
+        """Recompute every live descendant of the smallest window holding
         both days, children before grandchildren so each recomputation reads
         a fresh parent memory.
 
@@ -353,7 +331,7 @@ class Engine:
             return
         w = self.tree.smallest_window(lo, hi)
         for nid in self.tree.bfs_descendants(w):
-            if self.active[nid]:
+            if self.memory[nid] is not None:
                 yield self._recompute(nid, bucket="retrigger")
 
     # -- handlers ------------------------------------------------------------
@@ -399,6 +377,10 @@ class Engine:
     ) -> Iterator[int]:
         if day != self.current_day + 1:
             raise ScheduleBug(f"day {day} out of order (expected {self.current_day + 1})")
+        if event.kind == DELETE:
+            ins = self.schedule.by_key.get((event.element, INSERT))
+            if ins is None or not ins.realized:
+                raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
         self.current_day = day
         self.counters.day_overhead += 1
         yield 1
@@ -440,8 +422,7 @@ class Engine:
 
         if self.jit:
             for nid in self.tree.windows_starting_at(day):
-                if not self.active[nid]:
-                    self.active[nid] = True
+                if self.memory[nid] is None:
                     yield self._recompute(nid, "preprocess")
 
         self.outputs.append(self.day_output_value(day))
@@ -450,7 +431,7 @@ class Engine:
 
     def day_output_value(self, day: int) -> Any:
         nid = self.tree.leaf_of[day]
-        if not self.active[nid] or self.memory[nid] is None:
+        if self.memory[nid] is None:
             raise ScheduleBug(f"leaf for day {day} never computed")
         return self.problem.day_output(self.memory[nid], WindowCtx(self, nid))
 
@@ -495,6 +476,8 @@ def run_offline(
     the schedule, no predictions, no handlers, one full computation."""
     eng = Engine(problem, T, seed)
     for day, ev in stream:
+        if ev.kind == DELETE and (ev.element, INSERT) not in eng.schedule.by_key:
+            raise ScheduleBug(f"day {day}: deletion of never-inserted {ev.element}")
         if ev.payload:
             eng.schedule.payloads[ev.element] = ev.payload
         eng.schedule.add(ev.element, ev.kind, day, realized=True)

@@ -145,7 +145,10 @@ def read_bundles(path: str) -> list[PredictionBundle]:
                 parts = line.split()
                 if len(parts) != 3:
                     raise FormatError(path, lineno, "bad #bundle header")
-                index, delivery = int(parts[1]), int(parts[2])
+                try:
+                    index, delivery = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise FormatError(path, lineno, f"bad #bundle header {line!r}") from None
                 current = []
                 continue
             if line.startswith("#"):

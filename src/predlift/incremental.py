@@ -9,7 +9,9 @@ inserts the window's permanents, giving work update(A) per element.
 
 Every permanent of a window has an event inside the parent window (else it
 would be permanent for the parent too), so candidates are enumerated from
-the parent's event set, whose size is what the work bound charges.
+the parent's event set, whose size is what the work bound charges;
+``WindowCtx.permanent_candidates`` narrows it to the days where such an
+event can lie.
 """
 
 from __future__ import annotations
@@ -37,30 +39,30 @@ class IncrementalContract(Protocol):
     def query(self, state: Any, *args) -> Any: ...
 
 
-def permanents_of(
-    ctx_span: tuple[int, int],
-    parent_span: tuple[int, int] | None,
-    candidates,
-    lifetime,
-) -> list[str]:
-    """Elements permanent for the window ``ctx_span``: alive across all of
-    it, but not across all of the parent.  ``candidates`` yields event
-    records of the parent span; ``lifetime`` maps element -> (ins, del)."""
-    s, e = ctx_span
+def window_permanents(ctx: WindowCtx) -> list[str]:
+    """Elements permanent for the window of ``ctx``, sorted: alive across
+    all of it, but not across all of the parent.  Candidates come from
+    ``ctx.permanent_candidates()``; this scan runs for every window
+    recompute."""
+    s, e = ctx.start, ctx.end
+    ins_map, del_map, never = ctx.lifetime_maps()
+    ins_get, del_get = ins_map.get, del_map.get
+    pspan = ctx.parent_span()
     seen: set[str] = set()
     out: list[str] = []
-    for rec in candidates:
+    for rec in ctx.permanent_candidates():
         el = rec.element
         if el in seen:
             continue
         seen.add(el)
-        ins, dl = lifetime(el)
-        if ins is None or ins > s or dl <= e:
+        ins = ins_get(el)
+        if ins is None or ins > s:
             continue
-        if parent_span is not None:
-            ps, pe = parent_span
-            if ins <= ps and dl > pe:
-                continue  # ancestor-permanent
+        dl = del_get(el, never)
+        if dl <= e:
+            continue
+        if pspan is not None and ins <= pspan[0] and dl > pspan[1]:
+            continue  # an ancestor already carries it
         out.append(el)
     out.sort()
     return out
@@ -81,40 +83,13 @@ class LiftedIncremental:
     def __init__(self, contract: IncrementalContract):
         self.contract = contract
 
-    def root_memory(self) -> None:
-        return None
-
     def compute_window(self, ctx: WindowCtx, parent_memory: LiftedState | None):
         if parent_memory is None:
             state, clone_units = self.contract.init()
         else:
             state, clone_units = self.contract.clone(parent_memory.state)
         compute_units = 0
-        # inlined permanents_of over the reduced candidate slice; this scan
-        # runs for every window recompute
-        s, e = ctx.start, ctx.end
-        ins_map, del_map, never = ctx.lifetime_maps()
-        pspan = ctx.parent_span()
-        seen: set[str] = set()
-        perms: list[str] = []
-        ins_get = ins_map.get
-        del_get = del_map.get
-        for rec in ctx.permanent_candidates():
-            el = rec.element
-            if el in seen:
-                continue
-            seen.add(el)
-            ins = ins_get(el)
-            if ins is None or ins > s:
-                continue
-            dl = del_get(el, never)
-            if dl <= e:
-                continue
-            if pspan is not None and ins <= pspan[0] and dl > pspan[1]:
-                continue  # an ancestor already carries it
-            perms.append(el)
-        perms.sort()
-        for element in perms:
+        for element in window_permanents(ctx):
             compute_units += self.contract.insert(state, element, ctx.payload(element))
         return LiftedState(state), compute_units, clone_units
 

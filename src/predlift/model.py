@@ -2,10 +2,9 @@
 predicted and realized update-time vectors.
 
 Days are integers in [1, T].  Exactly one real event occurs per day.  A
-prediction names a day for a future event and carries a counter of how
-often it has been rescheduled.  Predictions whose event never materializes,
-and events that were never predicted, are charged the full horizon T by the
-error metric.
+prediction names a day for a future event.  Predictions whose event never
+materializes, and events that were never predicted, are charged the full
+horizon T by the error metric.
 """
 
 from __future__ import annotations
@@ -46,28 +45,14 @@ class Event:
 
 @dataclass(frozen=True)
 class Prediction:
-    """A claimed day for an event, plus how often it has been rescheduled."""
+    """A claimed day for an event."""
 
     event: Event
     predicted_day: int
-    reschedule_count: int = 0
 
     @property
     def is_sentinel(self) -> bool:
         return self.predicted_day >= END_OF_HORIZON
-
-
-@dataclass(frozen=True)
-class Horizon:
-    """Number of days T in the update sequence; ``known`` is False while the
-    true horizon is still being guessed (see the boosting module)."""
-
-    T: int
-    known: bool = True
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("horizon must cover at least one day")
 
 
 @dataclass(frozen=True)
@@ -82,9 +67,6 @@ class PredictionBundle:
     index: int
     delivery_day: int
     predictions: tuple[Prediction, ...] = field(default_factory=tuple)
-
-    def real_predictions(self) -> list[Prediction]:
-        return [p for p in self.predictions if not p.is_sentinel]
 
 
 class BundleViolation(ValueError):

@@ -16,8 +16,8 @@ from __future__ import annotations
 import bisect
 from math import ceil, log2
 
-from .engine import WindowCtx
-from .model import DELETE, INSERT, Event
+from .engine import ScheduleBug, WindowCtx
+from .model import INSERT, Event
 
 
 # -- counter ---------------------------------------------------------------
@@ -156,16 +156,12 @@ class MsfGraph:
     the weight and ids of edges already forced into every spanning forest of
     the window's span."""
 
-    __slots__ = ("edges", "vmap", "acc_weight", "acc_ids")
+    __slots__ = ("edges", "acc_weight", "acc_ids")
 
-    def __init__(self, edges, vmap, acc_weight, acc_ids):
+    def __init__(self, edges, acc_weight, acc_ids):
         self.edges = edges  # tuple of (w, id, u, v) in contracted labels
-        self.vmap = vmap  # original vertex -> contracted label
         self.acc_weight = acc_weight
         self.acc_ids = acc_ids
-
-    def size(self) -> int:
-        return len(self.edges) + len(self.vmap)
 
 
 def _kruskal(edges):
@@ -204,13 +200,9 @@ class MsfProblem:
     forest: drop them.  Volatiles always pass through to the children.
     """
 
-    def root_memory(self):
-        return None
-
     def compute_window(self, ctx: WindowCtx, parent: MsfGraph | None):
         s, e = ctx.start, ctx.end
         if parent is None:
-            vmap: dict = {}
             candidates = []
             seen = set()
             for rec in ctx.events():
@@ -224,7 +216,6 @@ class MsfProblem:
                 candidates.append((w, rec.element, u, v))
             acc_weight, acc_ids = 0, frozenset()
         else:
-            vmap = parent.vmap
             candidates = list(parent.edges)
             acc_weight, acc_ids = parent.acc_weight, parent.acc_ids
 
@@ -278,12 +269,6 @@ class MsfProblem:
             ru, rv = find(con_uf, u), find(con_uf, v)
             if ru != rv:
                 con_uf[max(ru, rv)] = min(ru, rv)
-        new_vmap = {orig: find(con_uf, label) for orig, label in vmap.items()}
-        if parent is None:
-            for _, eid, u, v in candidates:
-                for x in (u, v):
-                    if x not in new_vmap:
-                        new_vmap[x] = find(con_uf, x)
         new_edges = []
         for w, eid, u, v in residual + vol:
             ru, rv = find(con_uf, u), find(con_uf, v)
@@ -293,11 +278,10 @@ class MsfProblem:
 
         mem = MsfGraph(
             tuple(new_edges),
-            new_vmap,
             acc_weight + sum(w for w, _, _, _ in contracted),
             acc_ids | frozenset(eid for _, eid, _, _ in contracted),
         )
-        return mem, cost, mem.size()
+        return mem, cost, len(new_edges)
 
     def day_output(self, leaf: MsfGraph, ctx: WindowCtx):
         t = ctx.start
@@ -321,20 +305,25 @@ def msf_problem() -> MsfProblem:
 # -- daily brute-force oracles -------------------------------------------------
 
 
-def _active_sets(stream: list[tuple[int, Event]]):
-    """Yield (day, active element -> payload) after each day's real event."""
-    active: dict[str, tuple] = {}
-    payloads: dict[str, tuple] = {}
-    for day, ev in stream:
+class ActiveSet:
+    """The true active elements, each with its payload, advanced one real
+    event at a time; what every from-scratch oracle answer reads."""
+
+    __slots__ = ("items", "_payloads")
+
+    def __init__(self):
+        self.items: dict[str, tuple] = {}
+        self._payloads: dict[str, tuple] = {}
+
+    def apply(self, day: int, ev: Event) -> None:
         if ev.payload:
-            payloads[ev.element] = ev.payload
+            self._payloads[ev.element] = ev.payload
         if ev.kind == INSERT:
-            active[ev.element] = payloads.get(ev.element, ())
+            self.items[ev.element] = self._payloads.get(ev.element, ())
         else:
-            if ev.element not in active:
-                raise ValueError(f"day {day}: delete of inactive element {ev.element}")
-            del active[ev.element]
-        yield day, active
+            if ev.element not in self.items:
+                raise ScheduleBug(f"day {day}: delete of inactive element {ev.element}")
+            del self.items[ev.element]
 
 
 def _bfs_components(edges: list[tuple[int, int]]):
@@ -361,27 +350,35 @@ def _bfs_components(edges: list[tuple[int, int]]):
     return tuple(sorted(comps))
 
 
+def oracle_answer(problem: str, active: dict[str, tuple], registry: dict[str, tuple]):
+    """One day's answer recomputed from scratch from the active elements and
+    their payloads (``registry`` fills in payloads the events did not carry).
+    Independent of the engine's data structures."""
+    payload = lambda el: active[el] or registry.get(el, ())
+    if problem == "counter":
+        return len(active)
+    if problem == "connectivity":
+        return _bfs_components([(payload(el)[0], payload(el)[1]) for el in active])
+    if problem == "msf":
+        edges = [(payload(el)[2], el, payload(el)[0], payload(el)[1]) for el in active]
+        picked, weight = _kruskal(edges)
+        return (weight, tuple(sorted(eid for _, eid, _, _ in picked)))
+    if problem == "decmax":
+        return max((payload(el)[0] for el in active), default=None)
+    raise ValueError(f"unknown problem {problem!r}")
+
+
 def oracle_daily_outputs(
     problem: str,
     stream: list[tuple[int, Event]],
     payload_registry: dict[str, tuple] | None = None,
 ) -> list:
     """From-scratch recomputation of every day's answer from the true
-    active set.  Independent of the engine's data structures."""
+    active set."""
     registry = payload_registry or {}
+    active = ActiveSet()
     outs = []
-    for day, active in _active_sets(stream):
-        payload = lambda el: active[el] or registry.get(el, ())
-        if problem == "counter":
-            outs.append(len(active))
-        elif problem == "connectivity":
-            outs.append(_bfs_components([(payload(el)[0], payload(el)[1]) for el in active]))
-        elif problem == "msf":
-            edges = [(payload(el)[2], el, payload(el)[0], payload(el)[1]) for el in active]
-            picked, weight = _kruskal(edges)
-            outs.append((weight, tuple(sorted(eid for _, eid, _, _ in picked))))
-        elif problem == "decmax":
-            outs.append(max((payload(el)[0] for el in active), default=None))
-        else:
-            raise ValueError(f"unknown problem {problem!r}")
+    for day, ev in stream:
+        active.apply(day, ev)
+        outs.append(oracle_answer(problem, active.items, registry))
     return outs

@@ -3,9 +3,8 @@ schedule.
 
 The core primitive is online matching of prediction requests to day slots
 on the line [1, T]: the randomized harmonic rule picks the nearest free
-slot left or right with probability proportional to the inverse distance,
-the deterministic greedy rule picks the nearest free slot with ties toward
-the earlier day.  Occupied days are tracked as blocks in a union-find
+slot left or right with probability proportional to the inverse distance.
+Occupied days are tracked as blocks in a union-find
 structure whose representatives know the nearest open day on each side, so
 an assignment costs a near-constant number of union-find operations.
 
@@ -17,9 +16,7 @@ and at most one deletion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .model import DELETE, INSERT, Prediction
 
@@ -125,16 +122,6 @@ class SlotLine:
         p_left = (1.0 / d_left) / (1.0 / d_left + 1.0 / d_right)
         return self.take(lt if rng.random() < p_left else rt)
 
-    def assign_greedy(self, t: int) -> int:
-        """Deterministic nearest free slot, ties toward the earlier day."""
-        t = max(1, min(t, self.T))
-        if not self.assigned[t]:
-            return self.take(t)
-        lt, rt = self.neighbors(t)
-        if lt <= 0:
-            return self.take(rt)
-        return self.take(lt if t - lt <= rt - t else rt)
-
 
 @dataclass
 class Assignment:
@@ -143,55 +130,6 @@ class Assignment:
     predictions: list[Prediction]
     days: list[int]
     T: int
-    scheduler_ops: int = 0
-    fixed: bool = field(default=False)
-
-    def displacement(self) -> int:
-        """Total |assigned - requested| over non-overflow requests."""
-        return sum(
-            abs(d - min(max(p.predicted_day, 1), self.T))
-            for p, d in zip(self.predictions, self.days)
-        )
-
-    def is_feasible(self) -> bool:
-        """At most one insertion and one deletion per day inside the
-        horizon, and no deletion strictly before its element's insertion."""
-        per_day: dict[tuple[int, str], int] = {}
-        for p, d in zip(self.predictions, self.days):
-            if d > self.T:
-                continue
-            per_day[(d, p.event.kind)] = per_day.get((d, p.event.kind), 0) + 1
-            if per_day[(d, p.event.kind)] > 1:
-                return False
-        ins: dict[str, list[int]] = {}
-        dels: dict[str, list[int]] = {}
-        for p, d in zip(self.predictions, self.days):
-            (ins if p.event.kind == INSERT else dels).setdefault(p.event.element, []).append(d)
-        for element, dl in dels.items():
-            il = sorted(ins.get(element, ()))
-            for k, dd in enumerate(sorted(dl)):
-                if k < len(il) and dd < il[k]:
-                    return False
-        return True
-
-
-def harmonic_assign(
-    predictions: list[Prediction], T: int, seed: int, counter: OpCounter | None = None
-) -> Assignment:
-    rng = random.Random(seed)
-    counter = counter if counter is not None else OpCounter()
-    line = SlotLine(T, counter)
-    days = [line.assign_harmonic(p.predicted_day, rng) for p in predictions]
-    return Assignment(list(predictions), days, T, scheduler_ops=counter.ops)
-
-
-def greedy_assign(
-    predictions: list[Prediction], T: int, counter: OpCounter | None = None
-) -> Assignment:
-    counter = counter if counter is not None else OpCounter()
-    line = SlotLine(T, counter)
-    days = [line.assign_greedy(p.predicted_day) for p in predictions]
-    return Assignment(list(predictions), days, T, scheduler_ops=counter.ops)
 
 
 def fix_ordering(a: Assignment) -> Assignment:
@@ -223,73 +161,4 @@ def fix_ordering(a: Assignment) -> Assignment:
                 new_days[idx] = a.T + 1
             elif d < il[k]:
                 new_days[idx] = il[k]
-    return Assignment(a.predictions, new_days, a.T, scheduler_ops=a.scheduler_ops, fixed=True)
-
-
-def optimal_offline_assign(predictions: list[Prediction], T: int) -> Assignment:
-    """Test oracle: the minimum-l1 feasible assignment.
-
-    Per kind, requests are matched to distinct days of [1, T] minimizing
-    total displacement.  The optimal matching on a line is order-preserving,
-    so a dynamic program over (sorted requests) x (days) suffices:
-    dp[i][j] = cost of placing the first i requests on days <= j.
-    """
-    new_days = list(0 for _ in predictions)
-    for kind in (INSERT, DELETE):
-        items = [
-            (min(max(p.predicted_day, 1), T), idx)
-            for idx, p in enumerate(predictions)
-            if p.event.kind == kind
-        ]
-        if not items:
-            continue
-        items.sort()
-        n = len(items)
-        width = max(T, n)
-        reqs = np.array([d for d, _ in items], dtype=np.int64)
-        days_axis = np.arange(1, width + 1, dtype=np.int64)
-        cost = np.abs(reqs[:, None] - days_axis[None, :]).astype(np.float64)
-        dp = np.empty((n, width))
-        dp[0] = np.minimum.accumulate(cost[0])
-        for i in range(1, n):
-            shifted = np.empty(width)
-            shifted[0] = np.inf
-            shifted[1:] = dp[i - 1][:-1]
-            dp[i] = np.minimum.accumulate(shifted + cost[i])
-        # backtrack the lowest-day optimal choice for each request
-        j = int(np.argmin(dp[n - 1]))
-        choice = [0] * n
-        for i in range(n - 1, -1, -1):
-            while j > 0 and i <= j - 1 and dp[i][j - 1] <= dp[i][j]:
-                j -= 1
-            choice[i] = j + 1
-            j -= 1
-        for (d, idx), day in zip(items, choice):
-            new_days[idx] = day
-    return Assignment(list(predictions), new_days, T)
-
-
-def min_linf_error(predictions: list[Prediction], T: int) -> int:
-    """Smallest max displacement of any assignment of the requested days to
-    distinct slots (single line, both kinds together).  Binary search over
-    the answer with a greedy feasibility check."""
-    reqs = sorted(min(max(p.predicted_day, 1), T) for p in predictions)
-    if not reqs:
-        return 0
-
-    def feasible(D: int) -> bool:
-        slot = 0
-        for r in reqs:
-            slot = max(slot + 1, r - D)
-            if slot > r + D:
-                return False
-        return True
-
-    lo, hi = 0, max(T, len(reqs))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return Assignment(a.predictions, new_days, a.T)

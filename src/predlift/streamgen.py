@@ -12,7 +12,8 @@ Error models: ``exact``; ``uniform`` (offset uniform on [-sigma, sigma]);
 never predicted); ``adv-uneven`` (sqrt(T) elements whose deletions all miss
 by sqrt(T), concentrating error at one cut); ``adv-even`` (constant error
 on every element, spreading error across all cuts); ``inject`` (exactly
-sigma total l1 error, used by the work-scaling bench).
+sigma total l1 error, used by the work-scaling bench; a sigma the horizon
+cannot hold is rejected with ValueError).
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def _inject_l1(
     rng: random.Random,
 ) -> list[Prediction]:
     """Swap the predicted days of event pairs a fixed distance apart until
-    the pair's l1 error lands exactly on ``total``.
+    the pair's l1 error lands exactly on ``total``.  The error is exact or
+    rejected: when the random swaps cannot place all of it, ValueError.
 
     Swapping keeps the prediction multiset a permutation of the true days,
     so the preprocessing matcher assigns every prediction its requested slot
@@ -152,7 +154,7 @@ def _inject_l1(
                 budget = 0
                 break
     if budget > 0:
-        raise RuntimeError("cannot inject requested error within the horizon")
+        raise ValueError(f"cannot inject l1 error sigma={total} within horizon T={T}")
     return [Prediction(p.event, days[p.event.key]) for p in predictions]
 
 

@@ -13,7 +13,6 @@ the full range acting as rank minus-infinity.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
 import numpy as np
@@ -26,20 +25,19 @@ class PartitionTree:
     ``right``/``parent`` are node ids (-1 for none).  The root is node 0.
     """
 
-    def __init__(self, T: int, priorities: np.ndarray, seed: int | None = None):
+    def __init__(self, T: int, priorities: np.ndarray):
         if T < 1:
             raise ValueError("T must be at least 1")
         if len(priorities) != T - 1:
             raise ValueError("need exactly T-1 divider priorities")
         self.T = T
-        self.seed = seed
         self.priorities = priorities
         self._build(priorities)
 
     @classmethod
     def build(cls, T: int, seed: int) -> "PartitionTree":
         rng = np.random.default_rng(seed)
-        return cls(T, rng.random(T - 1), seed=seed)
+        return cls(T, rng.random(T - 1))
 
     def _build(self, pr: np.ndarray) -> None:
         T = self.T
@@ -181,47 +179,3 @@ class PartitionTree:
                 stack.append((self.right[nid], d + 1))
                 stack.append((self.left[nid], d + 1))
         return "\n".join(lines)
-
-
-def is_window_interval(priorities: np.ndarray, a: int, b: int) -> bool:
-    """Interval test used to cross-check construction: [a, b] is a window
-    iff its bordering dividers rank strictly below all dividers inside it
-    (range boundaries count as rank minus-infinity)."""
-    T = len(priorities) + 1
-    if a == 1 and b == T:
-        return True
-    inner = priorities[a - 1 : b - 1]
-    if len(inner) == 0:
-        return True  # single day: always a leaf window
-    m = float(inner.min())
-    lo = priorities[a - 2] if a >= 2 else -np.inf
-    hi = priorities[b - 1] if b <= T - 1 else -np.inf
-    return lo < m and hi < m
-
-
-def smallest_window_size(priorities: np.ndarray, t1: int, t2: int) -> int:
-    """Size in days of the smallest window containing both t1 and t2,
-    straight from divider priorities (no tree build).
-
-    The separator is the minimum-priority divider between the two days; the
-    window extends left and right to the first dividers ranking below it.
-    """
-    T = len(priorities) + 1
-    lo, hi = min(t1, t2), max(t1, t2)
-    if lo == hi:
-        return 1
-    # interior dividers of [lo, hi] are divider numbers lo..hi-1 (0-based lo-1..hi-2)
-    m = float(priorities[lo - 1 : hi - 1].min())
-    # expand left: last divider index j in [0, lo-2] with priority < m
-    a = 1
-    left_region = priorities[: lo - 1]
-    idx = np.flatnonzero(left_region < m)
-    if idx.size:
-        a = int(idx[-1]) + 2
-    # expand right: first divider index j in [hi-1, T-2] with priority < m
-    b = T
-    right_region = priorities[hi - 1 :]
-    idx = np.flatnonzero(right_region < m)
-    if idx.size:
-        b = hi + int(idx[0])
-    return b - a + 1

@@ -5,6 +5,7 @@ from predlift.boosting import (
     PROGRESSED,
     Backstop,
     BoostConfig,
+    RecomputeBackstop,
     SteppableEngine,
     backstop_run,
     boost_run,
@@ -12,7 +13,7 @@ from predlift.boosting import (
 from predlift.engine import Engine
 from predlift.incremental import lift_incremental
 from predlift.model import INSERT, Event
-from predlift.problems import counter_contract, oracle_daily_outputs
+from predlift.problems import counter_contract, oracle_answer, oracle_daily_outputs
 from predlift.streamgen import ErrorModel, generate_offline_instance, make_bundles
 
 
@@ -101,6 +102,15 @@ def test_faulty_constituent_dropped_with_warning():
     assert len(meta.algorithms) == 1
 
 
+def test_recompute_backstop_charges_active_set_per_day():
+    inst = generate_offline_instance("counter", 8, 512, ErrorModel("exact"), 5)
+    backstop = RecomputeBackstop(lambda active: oracle_answer("counter", active, {}))
+    outs, _ = backstop_run([backstop], inst.stream)
+    want = oracle_daily_outputs("counter", inst.stream)
+    assert outs == want
+    assert backstop.steps_taken == sum(active + 1 for active in want)
+
+
 def boost_counter(T, seed=0, cap=3, k=1, stream_seed=3):
     inst = generate_offline_instance(
         "counter", 8, T, ErrorModel("uniform", sigma=5), stream_seed
@@ -159,3 +169,21 @@ def test_epoch_stats_record_instance_steps():
     for e in epochs:
         assert len(e.instance_steps) == e.L
         assert all(s > 0 for s in e.instance_steps)
+
+
+def test_exact_bundles_cover_each_doubled_horizon():
+    for T in (64, 100, 128):
+        inst = generate_offline_instance("counter", 8, T, ErrorModel("exact"), 1)
+        bundles = {b.index: list(b.predictions) for b in make_bundles(inst.predictions, T)}
+        engines = []
+
+        def factory(T_hat, preds, seed):
+            engines.append(Engine(lift_incremental(counter_contract()), T_hat, seed))
+            return SteppableEngine(engines[-1], preds)
+
+        outs, _ = boost_run(
+            factory, bundles, inst.stream, ground_size=64,
+            config=BoostConfig(k=1, instances_cap=2, seed=0),
+        )
+        assert outs == oracle_daily_outputs("counter", inst.stream)
+        assert sum(e.counters.retrigger_calls for e in engines) == 0, T

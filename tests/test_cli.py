@@ -1,6 +1,7 @@
 """End-to-end harness runs through the CLI entry point."""
 
 import csv
+import warnings
 
 import pytest
 
@@ -99,9 +100,36 @@ def test_bench_writes_csv(tmp_path, capsys):
 def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.stream"
     bad.write_text("1 a I\n5 b I\n")
-    rc = main(["run", "--problem", "counter", "--stream", str(bad), "--seed", "1"])
+    ghost = tmp_path / "ghost.stream"
+    ghost.write_text("1 a I\n2 zz D\n3 b I\n")  # zz is deleted but never inserted
+    ghost_inst = tmp_path / "ghost.inst"
+    ghost_inst.write_text("S a 1 5\n1 I a 5\n2 D zz never\n")  # zz was never announced
+    cases = [
+        ["--problem", "counter", "--stream", str(bad)],
+        *(
+            ["--problem", "counter", "--stream", str(ghost), "--mode", mode]
+            for mode in ("offline", "predicted", "backstopped")
+        ),
+        ["--problem", "decmax", "--instance", str(ghost_inst)],
+    ]
+    for case in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", *case, "--seed", "1"])
+        assert rc == 2, case
+        assert "error:" in capsys.readouterr().err
+        assert not caught, case  # rejected, not dropped from a backstop with a warning
+
+
+def test_unreachable_inject_error_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "inst")
+    rc = main(
+        ["generate", "--problem", "connectivity", "--model", "inject", "--sigma", "512",
+         "--T", "128", "--n", "16", "--seed", "0", "--out", out]
+    )
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sigma=512" in err and "T=128" in err
 
 
 def test_missing_files_exit_code():

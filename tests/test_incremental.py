@@ -4,7 +4,7 @@ the just-in-time predicted-deletion mode."""
 import random
 
 from predlift.engine import Engine, WindowCtx, drain, run_predicted
-from predlift.incremental import lift_incremental, permanents_of
+from predlift.incremental import lift_incremental, window_permanents
 from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
 from predlift.problems import (
     connectivity_contract,
@@ -34,16 +34,11 @@ def chain_windows(tree, day):
     return out
 
 
-def window_permanents(eng, nid):
-    ctx = WindowCtx(eng, nid)
-    return permanents_of(ctx.day_span, ctx.parent_span(), ctx.parent_events(), ctx.lifetime)
-
-
 def test_element_spanning_horizon_is_root_permanent():
     inst = generate_offline_instance("counter", 4, 16, ErrorModel("exact"), 1)
     eng = Engine(lift_incremental(counter_contract()), 16, 0)
     eng.schedule.add("whole", INSERT, 1, realized=True)
-    assert window_permanents(eng, 0) == ["whole"]
+    assert window_permanents(WindowCtx(eng, 0)) == ["whole"]
 
 
 def test_same_day_lifetime_is_permanent_nowhere():
@@ -51,7 +46,7 @@ def test_same_day_lifetime_is_permanent_nowhere():
     eng.schedule.add("blip", INSERT, 3, realized=True)
     eng.schedule.add("blip", DELETE, 3, realized=True)
     for nid in range(eng.tree.n_nodes()):
-        assert "blip" not in window_permanents(eng, nid)
+        assert "blip" not in window_permanents(WindowCtx(eng, nid))
 
 
 def test_partition_property_every_day():
@@ -63,7 +58,7 @@ def test_partition_property_every_day():
         for day in range(1, inst.T + 1):
             union, total = set(), 0
             for nid in chain_windows(eng.tree, day):
-                perms = window_permanents(eng, nid)
+                perms = window_permanents(WindowCtx(eng, nid))
                 union.update(perms)
                 total += len(perms)
             active = {
@@ -94,7 +89,7 @@ def test_permanents_bounded_by_sibling_event_count():
             sib = tree.right[parent] if tree.left[parent] == nid else tree.left[parent]
             sib_events = len(eng.schedule.events_in(*tree.span(sib)))
             first_day_events = len(eng.schedule.days[tree.start[nid]])
-            assert len(window_permanents(eng, nid)) <= sib_events + first_day_events
+            assert len(window_permanents(WindowCtx(eng, nid))) <= sib_events + first_day_events
             checked += 1
     assert checked > 1000
 

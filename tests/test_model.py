@@ -13,7 +13,6 @@ from predlift.model import (
     INSERT,
     BundleViolation,
     Event,
-    Horizon,
     Prediction,
     PredictionBundle,
     l1_error,
@@ -91,12 +90,6 @@ def test_l1_zero_iff_identical_multisets():
     ps = preds({("e", INSERT): [2, 5]})
     assert l1_error(ps, reals({("e", INSERT): [5, 2]}), 10) == 0
     assert l1_error(ps, reals({("e", INSERT): [2, 6]}), 10) > 0
-
-
-def test_horizon_requires_positive_T():
-    with pytest.raises(ValueError):
-        Horizon(0)
-    assert Horizon(5).known
 
 
 def test_event_kind_checked():

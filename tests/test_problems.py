@@ -103,17 +103,10 @@ class _StubCtx:
         self._payloads = payloads
         self._parent_span = parent_span
 
-    @property
-    def day_span(self):
-        return (self.start, self.end)
-
     def parent_span(self):
         return self._parent_span
 
     def events(self):
-        return self._events
-
-    def parent_events(self):
         return self._events
 
     def lifetime(self, el):
@@ -133,7 +126,6 @@ def test_msf_triangle_all_permanent_contracts_light_edges():
             (2, "bc", 1, 2),
             (3, "ac", 0, 2),
         ),
-        {0: 0, 1: 1, 2: 2},
         0,
         frozenset(),
     )
@@ -152,7 +144,7 @@ def test_msf_triangle_all_permanent_contracts_light_edges():
 
 def test_msf_single_volatile_edge_passes_through():
     prob = msf_problem()
-    parent = MsfGraph(((7, "uv", 0, 1),), {0: 0, 1: 1}, 0, frozenset())
+    parent = MsfGraph(((7, "uv", 0, 1),), 0, frozenset())
     ctx = _StubCtx((3, 5), [], {"uv": (4, 9)}, {}, parent_span=(1, 8))
     mem, _, _ = prob.compute_window(ctx, parent)
     assert mem.edges == ((7, "uv", 0, 1),)

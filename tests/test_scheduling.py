@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predlift.model import DELETE, INSERT, Event, Prediction, l1_error
-from predlift.scheduling import (
-    Assignment,
-    OpCounter,
-    SlotLine,
-    fix_ordering,
+from oracles import (
+    displacement,
     greedy_assign,
     harmonic_assign,
+    is_feasible,
     min_linf_error,
     optimal_offline_assign,
 )
+from predlift.model import DELETE, INSERT, Event, Prediction, l1_error
+from predlift.scheduling import Assignment, OpCounter, fix_ordering
 
 
 def P(el, kind, day):
@@ -29,7 +28,7 @@ def test_distinct_free_days_identity():
     ps = [P(f"e{i}", INSERT, d) for i, d in enumerate([2, 7, 4, 9])]
     a = harmonic_assign(ps, 10, seed=0)
     assert a.days == [2, 7, 4, 9]
-    assert a.displacement() == 0
+    assert displacement(a) == 0
     g = greedy_assign(ps, 10)
     assert g.days == [2, 7, 4, 9]
 
@@ -41,7 +40,7 @@ def test_harmonic_collision_takes_neighbor():
         a = harmonic_assign(ps, 10, seed=seed)
         assert a.days[0] == 5
         assert len(set(a.days)) == 3
-        assert 2 <= a.displacement() <= 4  # optimal is 2; one block shift max
+        assert 2 <= displacement(a) <= 4  # optimal is 2; one block shift max
         seen.add(tuple(a.days))
     assert len(seen) > 1  # randomized rule actually randomizes
 
@@ -79,7 +78,7 @@ def test_fix_ordering_moves_deletion_to_insertion_day():
     a = Assignment(ps, [7, 3], T=10)
     fixed = fix_ordering(a)
     assert fixed.days == [7, 7]
-    assert fixed.is_feasible()
+    assert is_feasible(fixed)
 
 
 def test_fix_ordering_noop_when_ordered():
@@ -93,7 +92,7 @@ def test_fix_ordering_surplus_deletion_to_past_horizon():
     fixed = fix_ordering(Assignment(ps, [1, 4, 6], T=10))
     # first deletion pairs with the insertion, second has none
     assert fixed.days == [6, 11, 6]
-    assert fixed.is_feasible()
+    assert is_feasible(fixed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,26 +111,26 @@ def test_fix_ordering_error_at_most_doubled(seed):
     before = [Prediction(p.event, d) for p, d in zip(a.predictions, a.days)]
     after = [Prediction(p.event, d) for p, d in zip(fixed.predictions, fixed.days)]
     assert l1_error(after, rs, T) <= 2 * l1_error(before, rs, T)
-    assert fixed.is_feasible()
+    assert is_feasible(fixed)
 
 
 def test_optimal_three_at_same_day():
     ps = [P(f"e{i}", INSERT, 5) for i in range(3)]
     opt = optimal_offline_assign(ps, 10)
-    assert opt.displacement() == 2
+    assert displacement(opt) == 2
     assert sorted(opt.days) == [4, 5, 6]
     # exhaustive cross-check over all 3-day subsets
     best = min(
         sum(abs(d - 5) for d in combo)
         for combo in itertools.combinations(range(1, 11), 3)
     )
-    assert best == opt.displacement()
+    assert best == displacement(opt)
 
 
 def test_optimal_feasible_input_zero():
     ps = [P("a", INSERT, 3), P("b", DELETE, 3), P("c", INSERT, 8)]
     opt = optimal_offline_assign(ps, 10)
-    assert opt.displacement() == 0  # kinds use separate day lines
+    assert displacement(opt) == 0  # kinds use separate day lines
 
 
 def test_optimal_matches_exhaustive_small():
@@ -144,7 +143,7 @@ def test_optimal_matches_exhaustive_small():
             sum(abs(a - b) for a, b in zip(sorted(days), sorted(perm)))
             for perm in itertools.permutations(range(1, 7), 4)
         )
-        assert opt.displacement() == best
+        assert displacement(opt) == best
 
 
 def test_harmonic_competitive_against_optimal():
@@ -183,4 +182,4 @@ def test_greedy_linf_bound_on_random_instances():
         ps = [P(f"e{i}", INSERT, rng.randint(1, T)) for i in range(n)]
         g = greedy_assign(ps, T)
         err_max = min_linf_error(ps, T)
-        assert g.displacement() <= 4 * n * err_max * logT + T * err_max
+        assert displacement(g) <= 4 * n * err_max * logT + T * err_max

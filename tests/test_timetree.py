@@ -4,11 +4,8 @@ priority-only fast path."""
 import numpy as np
 import pytest
 
-from predlift.timetree import (
-    PartitionTree,
-    is_window_interval,
-    smallest_window_size,
-)
+from oracles import is_window_interval, smallest_window_size
+from predlift.timetree import PartitionTree
 
 
 def all_spans(t: PartitionTree) -> set[tuple[int, int]]:
