@@ -13,7 +13,7 @@ from .model import (
 )
 from .engine import Engine, ScheduleBug, WorkCounters, drain, run_offline, run_predicted
 from .incremental import lift_incremental
-from .decremental import DecrementalRun, lift_decremental
+from .decremental import DecrementalRun
 from .boosting import Backstop, BoostConfig, SteppableEngine, backstop_run, boost_run
 from .timetree import PartitionTree
 from .scheduling import Assignment, SlotLine, fix_ordering
@@ -42,7 +42,6 @@ __all__ = [
     "run_predicted",
     "lift_incremental",
     "DecrementalRun",
-    "lift_decremental",
     "Backstop",
     "BoostConfig",
     "SteppableEngine",

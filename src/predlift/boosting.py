@@ -7,7 +7,9 @@ unit per step() call.  The backstop feeds each day's event to every
 constituent and then issues single steps round-robin until one constituent
 has drained its buffer; that constituent's output is the day's answer.
 Because all constituents stay within one step of each other, total meta
-work tracks N times the minimum constituent's work.
+work tracks N times the minimum constituent's work.  An exception raised by
+a constituent propagates out of the backstop: no constituent declares a
+failure it may be dropped for.
 
 The boosting loop doubles its horizon guess whenever the stream reaches it,
 rebuilding L fresh independent instances (L from both log of the horizon
@@ -17,13 +19,12 @@ replaying all previously seen events through a fresh backstop.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil, log2
 from typing import Any, Callable, Iterator
 
-from .engine import Engine, ScheduleBug
+from .engine import Engine
 from .model import Event, Prediction
 from .problems import ActiveSet
 
@@ -36,7 +37,11 @@ class SteppableEngine:
 
     The engine's generators yield unit counts after each chunk of real
     work; the wrapper meters them out so a step() always accounts exactly
-    one unit, regardless of chunk size.
+    one unit, regardless of chunk size.  ``engine`` is an ``Engine`` or
+    anything else with a unit-yielding ``process_day`` and an ``outputs``
+    list, such as a ``RecomputeBackstop``.  Given ``predictions``, the
+    engine first ingests them, which computes its whole tree; without, it
+    computes each window on its start day.
     """
 
     def __init__(self, engine: Engine, predictions: list[Prediction] | None = None):
@@ -81,38 +86,22 @@ class SteppableEngine:
 
 
 class RecomputeBackstop:
-    """Trivially correct fully dynamic wrapper: each day, ``answer``
+    """Trivially correct fully dynamic algorithm: each day, ``answer``
     recomputes the day's output from scratch on the current active set
-    (element -> payload), charged one unit per active element plus one."""
+    (element -> payload), charged one unit per active element plus one.
+    A ``SteppableEngine`` steps it like an engine."""
 
     def __init__(self, answer: Callable[[dict[str, tuple]], Any]):
         self._answer = answer
         self._active = ActiveSet()
-        self._buffer: deque[tuple[int, Event, int | None]] = deque()
-        self._pending = 0
-        self._output: Any = None
-        self.steps_taken = 0
+        self.outputs: list[Any] = []
 
-    def buffer_event(self, day: int, event: Event, predicted_deletion_day: int | None = None):
-        self._buffer.append((day, event, predicted_deletion_day))
-
-    def step(self) -> str:
-        if self._pending == 0:
-            if not self._buffer:
-                return BUFFER_COMPLETE
-            day, ev, _ = self._buffer.popleft()
-            self._active.apply(day, ev)
-            self._output = self._answer(self._active.items)
-            self._pending = len(self._active.items) + 1
-        self._pending -= 1
-        self.steps_taken += 1
-        return PROGRESSED
-
-    def is_complete(self) -> bool:
-        return self._pending == 0 and not self._buffer
-
-    def current_output(self) -> Any:
-        return self._output
+    def process_day(
+        self, day: int, event: Event, predicted_deletion_day: int | None = None
+    ) -> Iterator[int]:
+        self._active.apply(day, event)
+        self.outputs.append(self._answer(self._active.items))
+        yield len(self._active.items) + 1
 
 
 class Backstop:
@@ -128,35 +117,18 @@ class Backstop:
     def feed(self, day: int, event: Event, predicted_deletion_day: int | None = None) -> Any:
         for a in self.algorithms:
             a.buffer_event(day, event, predicted_deletion_day)
-        completed = None
-        while completed is None:
+        while True:
             # completion is checked at round boundaries without consuming a
             # step, so every round issues exactly one step to every
             # constituent and their step counts never drift apart
-            for a in list(self.algorithms):
-                if self._guard(a, lambda: a.is_complete()):
-                    completed = a
-                    break
-            if completed is not None:
-                break
-            for a in list(self.algorithms):
-                self._guard(a, lambda: a.step())
-                self.meta_steps += 1
-        out = completed.current_output()
-        self.outputs.append(out)
-        return out
-
-    def _guard(self, a, fn):
-        try:
-            return fn()
-        except ScheduleBug:
-            raise  # invalid input: every constituent would reject it
-        except Exception as exc:  # drop a faulty constituent, keep going
-            warnings.warn(f"backstop constituent {a!r} failed: {exc}")
-            self.algorithms.remove(a)
-            if not self.algorithms:
-                raise
-            return False
+            for a in self.algorithms:
+                if a.is_complete():
+                    out = a.current_output()
+                    self.outputs.append(out)
+                    return out
+            for a in self.algorithms:
+                a.step()
+            self.meta_steps += len(self.algorithms)
 
     def step_spread(self) -> int:
         taken = [a.steps_taken for a in self.algorithms]

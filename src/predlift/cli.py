@@ -15,7 +15,7 @@ from .boosting import Backstop, BoostConfig, RecomputeBackstop, SteppableEngine,
 from .decremental import DecrementalRun
 from .engine import Engine, ScheduleBug, drain, run_offline, run_predicted
 from .incremental import lift_incremental
-from .model import DELETE, INSERT, Event
+from .model import BundleViolation, validate_bundle_sequence
 from .problems import (
     connectivity_contract,
     counter_contract,
@@ -60,12 +60,6 @@ def format_output(problem: str, out) -> str:
     raise ValueError(problem)
 
 
-def _decmax_oracle(events):
-    """Daily outputs for a predicted-insertion instance, from scratch."""
-    stream = [(day, ev) for day, ev, _ in events]
-    return oracle_daily_outputs("decmax", stream)
-
-
 def cmd_generate(args) -> int:
     model = ErrorModel(args.model, sigma=args.sigma, rho=args.rho)
     if args.problem == "decmax":
@@ -92,21 +86,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_offline(args):
+class FileUsage(ValueError):
+    pass
+
+
+def _run_offline_problem(args, stream):
+    """Daily outputs of an offline problem's stream in ``args.mode``, and
+    the counters of its engine (None when several engines ran)."""
+    problem = _problem_impl(args.problem)
     predictions = fileio.read_predictions(args.pred) if args.pred else []
-    stream = fileio.read_stream(args.stream)
     registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
     T = len(stream)
-    return predictions, stream, registry, T
-
-
-def _run_offline_problem(args):
-    problem = _problem_impl(args.problem)
-    predictions, stream, registry, T = _load_offline(args)
-    if args.mode == "brute-force":
-        return [  # no engine at all
-            (day, out) for (day, _), out in zip(stream, oracle_daily_outputs(args.problem, stream))
-        ], None
     if args.mode == "offline":
         eng = run_offline(problem, T, stream, args.seed)
     elif args.mode == "predicted":
@@ -114,14 +104,19 @@ def _run_offline_problem(args):
     elif args.mode == "backstopped":
         eng = Engine(problem, T, args.seed, payload_registry=registry)
         backstop = RecomputeBackstop(lambda active: oracle_answer(args.problem, active, registry))
-        meta = Backstop([SteppableEngine(eng, predictions), backstop])
+        meta = Backstop([SteppableEngine(eng, predictions), SteppableEngine(backstop)])
         for day, ev in stream:
             meta.feed(day, ev)
-        return list(zip((d for d, _ in stream), meta.outputs)), eng.counters
-    elif args.mode == "boosted":
+        return meta.outputs, eng.counters
+    else:  # boosted
         if not args.bundles:
             raise FileUsage("boosted mode needs --bundles")
-        bundles = {b.index: list(b.predictions) for b in fileio.read_bundles(args.bundles)}
+        sequence = fileio.read_bundles(args.bundles)
+        try:
+            validate_bundle_sequence(sequence)
+        except BundleViolation as exc:
+            raise FileUsage(f"{args.bundles}: {exc}") from None
+        bundles = {b.index: list(b.predictions) for b in sequence}
         ground = {p.event.element for bs in bundles.values() for p in bs if not p.is_sentinel}
 
         def factory(T_hat, preds, seed):
@@ -129,7 +124,7 @@ def _run_offline_problem(args):
                 Engine(_problem_impl(args.problem), T_hat, seed, payload_registry=registry), preds
             )
 
-        outs, epochs = boost_run(
+        outs, _ = boost_run(
             factory,
             bundles,
             stream,
@@ -137,49 +132,46 @@ def _run_offline_problem(args):
             BoostConfig(k=args.k, instances_cap=args.instances_cap, seed=args.seed),
             log=lambda line: print(line),
         )
-        return list(zip((d for d, _ in stream), outs)), None
-    else:
-        raise FileUsage(f"unknown mode {args.mode}")
-    return list(zip((d for d, _ in stream), eng.outputs)), eng.counters
-
-
-def _run_decmax(args):
-    predicted_set, events = fileio.read_insertion_predicted_instance(args.instance)
-    if args.mode == "brute-force":
-        return [(day, out) for (day, _, _), out in zip(events, _decmax_oracle(events))], None
-    T = len(events)
-    run = DecrementalRun(decremental_max_contract(), predicted_set, T, args.seed)
-    for day, ev, reins in events:
-        run.process_day(day, ev, reins)
-    return [(day, out) for (day, _, _), out in zip(events, run.outputs)], run.counters
-
-
-class FileUsage(ValueError):
-    pass
+        return outs, None
+    return eng.outputs, eng.counters
 
 
 def _dispatch_run(args):
+    """Read the run's input once and run it in ``args.mode``.  Returns the
+    realized stream, its daily outputs, and the counters of the run's
+    engine (None when no single engine ran)."""
+    online = args.problem == "decmax" or args.dstream
+    if online and args.mode not in ("predicted", "brute-force"):
+        raise FileUsage(f"--mode {args.mode} needs a --stream input")
+    if args.dstream and args.problem == "msf":
+        raise FileUsage("--dstream lifts an incremental problem (counter or connectivity)")
     if args.problem == "decmax":
         if not args.instance:
             raise FileUsage("decmax needs --instance")
-        return _run_decmax(args)
-    if args.dstream:
+        predicted_set, items = fileio.read_insertion_predicted_instance(args.instance)
+    elif args.dstream:
         items = fileio.read_deletion_predicted_stream(args.dstream)
-        if args.mode == "brute-force":
-            stream = [(d, ev) for d, ev, _ in items]
-            return list(zip((d for d, _ in stream), oracle_daily_outputs(args.problem, stream))), None
-        eng = Engine(_problem_impl(args.problem), len(items), args.seed, jit=True)
+    elif not args.stream:
+        raise FileUsage("need --stream (or --instance / --dstream)")
+    stream = [(day, ev) for day, ev, _ in items] if online else fileio.read_stream(args.stream)
+    if args.mode == "brute-force":
+        return stream, oracle_daily_outputs(args.problem, stream), None  # no engine at all
+    if args.problem == "decmax":
+        run = DecrementalRun(decremental_max_contract(), predicted_set, len(items), args.seed)
+        for day, ev, reins in items:
+            run.process_day(day, ev, reins)
+        return stream, run.outputs, run.counters
+    if args.dstream:
+        eng = Engine(_problem_impl(args.problem), len(items), args.seed)
         for day, ev, pred in items:
             drain(eng.process_day(day, ev, predicted_deletion_day=pred))
-        return list(zip((d for d, _, _ in items), eng.outputs)), eng.counters
-    if not args.stream:
-        raise FileUsage("need --stream (or --instance / --dstream)")
-    return _run_offline_problem(args)
+        return stream, eng.outputs, eng.counters
+    return (stream, *_run_offline_problem(args, stream))
 
 
 def cmd_run(args) -> int:
-    rows, counters = _dispatch_run(args)
-    for day, out in rows:
+    stream, outputs, counters = _dispatch_run(args)
+    for (day, _), out in zip(stream, outputs):
         print(f"{day} {format_output(args.problem, out)}")
     if counters is not None:
         print("#counters")
@@ -189,18 +181,10 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     args.mode = "predicted"
-    rows, _ = _dispatch_run(args)
-    if args.problem == "decmax":
-        events = fileio.read_insertion_predicted_instance(args.instance)[1]
-        expected = _decmax_oracle(events)
-    elif args.dstream:
-        items = fileio.read_deletion_predicted_stream(args.dstream)
-        expected = oracle_daily_outputs(args.problem, [(d, ev) for d, ev, _ in items])
-    else:
-        stream = fileio.read_stream(args.stream)
-        expected = oracle_daily_outputs(args.problem, stream)
+    stream, outputs, _ = _dispatch_run(args)
+    expected = oracle_daily_outputs(args.problem, stream)
     mismatches = 0
-    for (day, got), want in zip(rows, expected):
+    for (day, _), got, want in zip(stream, outputs, expected):
         if got != want:
             mismatches += 1
             print(
@@ -208,9 +192,9 @@ def cmd_verify(args) -> int:
                 f"oracle={format_output(args.problem, want)}"
             )
     if mismatches:
-        print(f"FAIL {mismatches}/{len(rows)} days differ")
+        print(f"FAIL {mismatches}/{len(stream)} days differ")
         return 1
-    print(f"PASS all {len(rows)} days match the oracle")
+    print(f"PASS all {len(stream)} days match the oracle")
     return 0
 
 

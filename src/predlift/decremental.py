@@ -4,9 +4,9 @@ model by reinterpreting it as an incremental algorithm over anti-elements.
 An anti-element is present exactly while its element is absent: deleting e
 from the real system inserts anti-e, inserting e deletes anti-e, and a
 predicted insertion day for e is a predicted deletion day for anti-e.  The
-anti-view is therefore a predicted-deletion instance and runs on the
-just-in-time engine unchanged, with all anti-elements of the predicted set
-S present before day 1.
+anti-view is therefore a predicted-deletion instance and runs unchanged on
+an engine given no predictions (which computes each window on its start
+day), with all anti-elements of the predicted set S present before day 1.
 
 Elements can be deleted and reinserted repeatedly; each absence interval of
 e becomes a fresh anti-element instance ``e~k`` so the engine always sees
@@ -82,7 +82,7 @@ class DecrementalRun:
         self.generation: dict[str, int] = {el: 0 for el in self.ground}
         self.initialize_units = 0
         self.out_of_set_inserts = 0  # the theorem's K
-        self.engine = Engine(lift_incremental(_AntiContract(self)), T, seed, jit=True)
+        self.engine = Engine(lift_incremental(_AntiContract(self)), T, seed)
         self.engine.preload_day0([(self._anti(el), payload) for el, _, payload in predicted_set])
         for el, day, _ in predicted_set:
             self.engine.schedule_deletion_prediction(self._anti(el), day)
@@ -147,11 +147,3 @@ class DecrementalRun:
     def counters(self):
         return self.engine.counters
 
-
-def lift_decremental(
-    contract: DecrementalContract,
-    predicted_set: list[tuple[str, int, tuple]],
-    T: int,
-    seed: int,
-) -> DecrementalRun:
-    return DecrementalRun(contract, predicted_set, T, seed)

@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Any, Iterator
 
 from .model import DELETE, END_OF_HORIZON, INSERT, Event, Prediction
-from .scheduling import Assignment, OpCounter, SlotLine, fix_ordering
+from .scheduling import Assignment, SlotLine, fix_ordering
 from .timetree import PartitionTree
 
 
@@ -41,8 +41,9 @@ class ScheduleBug(RuntimeError):
 class WorkCounters:
     """Instrumentation totals.  All counters are monotone; the split between
     preprocess_units and retrigger_units buckets window compute and clone
-    work by whether it happened during initial builds / just-in-time
-    activation or during retrigger recomputation."""
+    work by whether a window was being computed for the first time (at
+    ingest, or on its start day in an engine given no predictions) or
+    recomputed by a retrigger."""
 
     window_compute_units: int = 0
     clone_units: int = 0
@@ -203,11 +204,11 @@ class Engine:
         query(leaf_memory, args) -> answer    optional
 
     ``memory[nid]`` holds a window's computed memory, or None while the
-    window is not live; only live windows are recomputed.  Outside
-    just-in-time mode every window goes live when the predictions are
-    ingested.  In just-in-time mode (``jit=True``) windows go live on their
-    start day and insertion events arrive online carrying a predicted
-    deletion day (scheduled against a persistent slot line).
+    window is not live; only live windows are recomputed.  Ingesting
+    predictions computes the whole tree; in an engine given none, each
+    window goes live on its start day.  Insertions that arrive carrying a
+    predicted deletion day (the deletion-predicted and decremental
+    settings) are for the latter.
     """
 
     def __init__(
@@ -215,12 +216,10 @@ class Engine:
         problem,
         T: int,
         seed: int,
-        jit: bool = False,
         payload_registry: dict[str, tuple] | None = None,
     ):
         self.problem = problem
         self.T = T
-        self.jit = jit
         self.counters = WorkCounters()
         self.schedule = Schedule(T)
         if payload_registry:
@@ -229,8 +228,7 @@ class Engine:
         self.counters.depth = self.tree.depth()
         self.memory: list[Any] = [None] * self.tree.n_nodes()
         self._rng = random.Random(seed)
-        self._op_counter = OpCounter()
-        self._slotline = SlotLine(T, self._op_counter)
+        self._slotline = SlotLine(T)
         self.current_day = 0
         self.outputs: list[Any] = []
 
@@ -238,23 +236,24 @@ class Engine:
 
     def ingest_predictions(self, predictions: list[Prediction]) -> Iterator[int]:
         """Convert raw predictions into a feasible schedule (harmonic online
-        matching plus the insert-before-delete ordering fix) and, outside
-        just-in-time mode, compute the whole tree once."""
+        matching plus the insert-before-delete ordering fix) and compute the
+        whole tree once, breadth-first."""
         live = [p for p in predictions if not p.is_sentinel]
         seen = set()
         for p in live:
             if p.event.key in seen:
                 raise ScheduleBug(f"prediction file reuses lifetime {p.event.key}")
             seen.add(p.event.key)
-        before = self._op_counter.ops
+        before = self._slotline.ops
         days = [self._slotline.assign_harmonic(p.predicted_day, self._rng) for p in live]
         assignment = fix_ordering(Assignment(live, days, self.T))
-        self.counters.scheduler_ops += self._op_counter.ops - before
-        yield max(1, self._op_counter.ops - before)
+        ops = self._slotline.ops - before
+        self.counters.scheduler_ops += ops
+        yield max(1, ops)
         for p, day in zip(assignment.predictions, assignment.days):
             self.schedule.add(p.event.element, p.event.kind, min(day, self.T + 1))
-        if not self.jit:
-            yield from self.full_compute("preprocess", activate=True)
+        for nid in chain((0,), self.tree.bfs_descendants(0)):
+            yield self._recompute(nid, "preprocess")
 
     def preload_day0(self, items: list[tuple[str, tuple]]) -> None:
         """Record elements present before day 1 (realized pre-horizon
@@ -268,7 +267,7 @@ class Engine:
         """Assign a predicted deletion day online against the persistent
         slot line.  A slot earlier than the element's insertion day is moved
         onto the insertion day; a slot past the horizon parks at T+1."""
-        before = self._op_counter.ops
+        before = self._slotline.ops
         if requested_day >= END_OF_HORIZON:
             slot = self.T + 1
         else:
@@ -279,7 +278,7 @@ class Engine:
         if ins_day is not None and slot < ins_day:
             slot = ins_day
         self.schedule.add(element, DELETE, slot)
-        self.counters.scheduler_ops += self._op_counter.ops - before
+        self.counters.scheduler_ops += self._slotline.ops - before
         return slot
 
     # -- recomputation ------------------------------------------------------
@@ -298,13 +297,6 @@ class Engine:
             self.counters.retrigger_units += units
         return max(1, units)
 
-    def full_compute(self, bucket: str, activate: bool = False) -> Iterator[int]:
-        """Recompute the root and every live descendant (every descendant
-        when ``activate``), breadth-first."""
-        for nid in chain((0,), self.tree.bfs_descendants(0)):
-            if activate or self.memory[nid] is not None:
-                yield self._recompute(nid, bucket)
-
     def retrigger(self, t1: int, t2: int, widen: bool = False) -> Iterator[int]:
         """Recompute every live descendant of the smallest window holding
         both days, children before grandchildren so each recomputation reads
@@ -318,19 +310,19 @@ class Engine:
         recomputed root.  (Deletion moves cannot flip a containing window's
         tests: both days stay inside its span, hence at or before its end.)
 
-        An endpoint beyond the horizon means the event left or entered the
-        tree entirely, which invalidates the root as well: recompute
-        everything."""
+        An endpoint outside ``[1, T]`` means the event left or entered the
+        tree entirely, which invalidates the root as well: recompute it and
+        every live window below it."""
         self.counters.retrigger_calls += 1
         yield 1
         lo, hi = min(t1, t2), max(t1, t2)
         if widen:
             lo -= 1
         if hi > self.T or lo < 1:
-            yield from self.full_compute("retrigger")
-            return
-        w = self.tree.smallest_window(lo, hi)
-        for nid in self.tree.bfs_descendants(w):
+            nids = chain((0,), self.tree.bfs_descendants(0))
+        else:
+            nids = self.tree.bfs_descendants(self.tree.smallest_window(lo, hi))
+        for nid in nids:
             if self.memory[nid] is not None:
                 yield self._recompute(nid, bucket="retrigger")
 
@@ -375,6 +367,10 @@ class Engine:
     def process_day(
         self, day: int, event: Event, predicted_deletion_day: int | None = None
     ) -> Iterator[int]:
+        """An insertion carrying ``predicted_deletion_day`` is recorded as
+        realized and its deletion scheduled online, with no retrigger: in an
+        engine given no predictions every live window starts before today,
+        so a lifted incremental problem has none holding the new element."""
         if day != self.current_day + 1:
             raise ScheduleBug(f"day {day} out of order (expected {self.current_day + 1})")
         if event.kind == DELETE:
@@ -388,14 +384,11 @@ class Engine:
             self.schedule.payloads[event.element] = event.payload
 
         rec = self.schedule.by_key.get(event.key)
-        if self.jit and event.kind == INSERT:
+        if predicted_deletion_day is not None and event.kind == INSERT:
             if rec is not None:
                 raise ScheduleBug(f"element {event.element} inserted twice")
             self.schedule.add(event.element, INSERT, day, realized=True)
-            self.schedule_deletion_prediction(
-                event.element,
-                END_OF_HORIZON if predicted_deletion_day is None else predicted_deletion_day,
-            )
+            self.schedule_deletion_prediction(event.element, predicted_deletion_day)
             yield 1
         elif rec is None:
             # never predicted: default prediction at the end of the horizon
@@ -420,10 +413,9 @@ class Engine:
             if not r.realized:
                 yield from self.process_event_later(r, day)
 
-        if self.jit:
+        if self.memory[self.tree.leaf_of[day]] is None:
             for nid in self.tree.windows_starting_at(day):
-                if self.memory[nid] is None:
-                    yield self._recompute(nid, "preprocess")
+                yield self._recompute(nid, "preprocess")
 
         self.outputs.append(self.day_output_value(day))
 
@@ -466,24 +458,9 @@ def run_predicted(
     return eng
 
 
-def run_offline(
-    problem,
-    T: int,
-    stream: list[tuple[int, Event]],
-    seed: int,
-) -> Engine:
-    """Pure offline divide-and-conquer reference run: the realized stream is
-    the schedule, no predictions, no handlers, one full computation."""
-    eng = Engine(problem, T, seed)
-    for day, ev in stream:
-        if ev.kind == DELETE and (ev.element, INSERT) not in eng.schedule.by_key:
-            raise ScheduleBug(f"day {day}: deletion of never-inserted {ev.element}")
-        if ev.payload:
-            eng.schedule.payloads[ev.element] = ev.payload
-        eng.schedule.add(ev.element, ev.kind, day, realized=True)
-    drain(eng.full_compute("preprocess", activate=True))
-    for day, _ in stream:
-        eng.current_day = day
-        eng.counters.day_overhead += 1
-        eng.outputs.append(eng.day_output_value(day))
-    return eng
+def run_offline(problem, T: int, stream: list[tuple[int, Event]], seed: int) -> Engine:
+    """Pure offline divide-and-conquer run: the realized stream is its own
+    exact prediction, so no handler fires and the tree is computed once."""
+    predictions = [Prediction(ev, day) for day, ev in stream]
+    registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
+    return run_predicted(problem, T, predictions, stream, seed, payload_registry=registry)

@@ -159,6 +159,8 @@ def read_bundles(path: str) -> list[PredictionBundle]:
             if len(parts) != 3:
                 raise FormatError(path, lineno, f"expected 3 fields, got {len(parts)}")
             element, kind, day_tok = parts
+            if kind not in (INSERT, DELETE):
+                raise FormatError(path, lineno, f"bad kind {kind!r}")
             day = _parse_day(day_tok, path, lineno)
             current.append(Prediction(Event(element, kind), day))
     if current is not None:

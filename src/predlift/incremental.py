@@ -25,7 +25,8 @@ class IncrementalContract(Protocol):
     """The pluggable worst-case incremental algorithm."""
 
     def init(self) -> tuple[Any, int]:
-        """Fresh empty state plus the units spent building it."""
+        """Fresh empty state plus the units spent building it.  A state is
+        never None: the engine reads None as a window not computed yet."""
 
     def insert(self, state: Any, element: str, payload: tuple) -> int:
         """Mutate state to include element; returns cost units spent, which
@@ -68,36 +69,28 @@ def window_permanents(ctx: WindowCtx) -> list[str]:
     return out
 
 
-class LiftedState:
-    """Window memory for a lifted incremental algorithm."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: Any):
-        self.state = state
-
-
 class LiftedIncremental:
-    """c = 1 divide-and-conquer problem over an IncrementalContract."""
+    """c = 1 divide-and-conquer problem over an IncrementalContract; a
+    window's memory is the contract state itself."""
 
     def __init__(self, contract: IncrementalContract):
         self.contract = contract
 
-    def compute_window(self, ctx: WindowCtx, parent_memory: LiftedState | None):
+    def compute_window(self, ctx: WindowCtx, parent_memory: Any):
         if parent_memory is None:
             state, clone_units = self.contract.init()
         else:
-            state, clone_units = self.contract.clone(parent_memory.state)
+            state, clone_units = self.contract.clone(parent_memory)
         compute_units = 0
         for element in window_permanents(ctx):
             compute_units += self.contract.insert(state, element, ctx.payload(element))
-        return LiftedState(state), compute_units, clone_units
+        return state, compute_units, clone_units
 
-    def day_output(self, leaf_memory: LiftedState, ctx: WindowCtx) -> Any:
-        return self.contract.output(leaf_memory.state, ctx.start)
+    def day_output(self, leaf_memory: Any, ctx: WindowCtx) -> Any:
+        return self.contract.output(leaf_memory, ctx.start)
 
-    def query(self, leaf_memory: LiftedState, *args) -> Any:
-        return self.contract.query(leaf_memory.state, *args)
+    def query(self, leaf_memory: Any, *args) -> Any:
+        return self.contract.query(leaf_memory, *args)
 
 
 def lift_incremental(contract: IncrementalContract) -> LiftedIncremental:

@@ -21,15 +21,6 @@ from dataclasses import dataclass
 from .model import DELETE, INSERT, Prediction
 
 
-class OpCounter:
-    """Mutable tally shared with callers that account scheduler work."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops = 0
-
-
 class SlotLine:
     """Day slots 1..T plus overflow slots appended past T.
 
@@ -37,12 +28,13 @@ class SlotLine:
     representative of a block carries the nearest unassigned day strictly
     left and right of the block.  Day 0 and the overflow region act as
     boundary sentinels: the left sentinel is never assignable, the right
-    sentinel resolves to freshly appended days past T.
+    sentinel resolves to freshly appended days past T.  ``ops`` counts the
+    union-find operations performed so far.
     """
 
-    def __init__(self, T: int, counter: OpCounter | None = None):
+    def __init__(self, T: int):
         self.T = T
-        self.counter = counter if counter is not None else OpCounter()
+        self.ops = 0
         size = T + 2
         self.parent = list(range(size))
         self.rank = [0] * size
@@ -52,7 +44,7 @@ class SlotLine:
         self.next_overflow = T + 1
 
     def find(self, x: int) -> int:
-        self.counter.ops += 1
+        self.ops += 1
         root = x
         while self.parent[root] != root:
             root = self.parent[root]
@@ -62,7 +54,7 @@ class SlotLine:
 
     def _union_roots(self, ra: int, rb: int) -> int:
         """Union by rank over two set representatives."""
-        self.counter.ops += 1
+        self.ops += 1
         if ra == rb:
             return ra
         if self.rank[ra] < self.rank[rb]:

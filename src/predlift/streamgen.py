@@ -243,10 +243,10 @@ def generate_offline_instance(
 def generate_deletion_predicted_stream(
     problem: str, n: int, T: int, model: ErrorModel, seed: int
 ) -> tuple[list[tuple[int, Event, int | None]], dict[str, tuple], int]:
-    """Predicted-deletion instance for the just-in-time adapter: insertions
-    carry a (perturbed) predicted deletion day; elements never deleted
-    within the horizon predict the end of it.  Returns (stream items,
-    payload registry, l1 deletion error)."""
+    """Predicted-deletion instance for an engine given no predictions:
+    insertions carry a (perturbed) predicted deletion day; elements never
+    deleted within the horizon predict the end of it.  Returns (stream
+    items, payload registry, l1 deletion error)."""
     rng = random.Random(seed)
     stream = random_stream(problem, n, T, rng)
     del_day = {ev.element: day for day, ev in stream if ev.kind == DELETE}

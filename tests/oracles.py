@@ -10,7 +10,7 @@ import random
 import numpy as np
 
 from predlift.model import DELETE, INSERT, Prediction
-from predlift.scheduling import Assignment, OpCounter, SlotLine
+from predlift.scheduling import Assignment, SlotLine
 
 # -- slot assignment ----------------------------------------------------------
 
@@ -26,11 +26,9 @@ def assign_greedy(line: SlotLine, t: int) -> int:
     return line.take(lt if t - lt <= rt - t else rt)
 
 
-def harmonic_assign(
-    predictions: list[Prediction], T: int, seed: int, counter: OpCounter | None = None
-) -> Assignment:
+def harmonic_assign(predictions: list[Prediction], T: int, seed: int) -> Assignment:
     rng = random.Random(seed)
-    line = SlotLine(T, counter)
+    line = SlotLine(T)
     days = [line.assign_harmonic(p.predicted_day, rng) for p in predictions]
     return Assignment(list(predictions), days, T)
 

@@ -87,24 +87,24 @@ def test_two_seeds_identical_outputs():
     assert meta.step_spread() <= 1
 
 
-def test_faulty_constituent_dropped_with_warning():
+def test_faulty_constituent_error_propagates():
     import pytest
 
     class Exploder(SyntheticAlgorithm):
         def step(self):
             raise RuntimeError("boom")
 
-    fast = SyntheticAlgorithm(lambda day: 1)
-    meta = Backstop([Exploder(lambda day: 1), fast])
-    with pytest.warns(UserWarning):
-        out = meta.feed(1, Event("e", INSERT))
-    assert out == 1
-    assert len(meta.algorithms) == 1
+    meta = Backstop([Exploder(lambda day: 1), SyntheticAlgorithm(lambda day: 1)])
+    with pytest.raises(RuntimeError, match="boom"):
+        meta.feed(1, Event("e", INSERT))
+    assert len(meta.algorithms) == 2
 
 
 def test_recompute_backstop_charges_active_set_per_day():
     inst = generate_offline_instance("counter", 8, 512, ErrorModel("exact"), 5)
-    backstop = RecomputeBackstop(lambda active: oracle_answer("counter", active, {}))
+    backstop = SteppableEngine(
+        RecomputeBackstop(lambda active: oracle_answer("counter", active, {}))
+    )
     outs, _ = backstop_run([backstop], inst.stream)
     want = oracle_daily_outputs("counter", inst.stream)
     assert outs == want

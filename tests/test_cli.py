@@ -104,6 +104,10 @@ def test_input_error_exit_code(tmp_path, capsys):
     ghost.write_text("1 a I\n2 zz D\n3 b I\n")  # zz is deleted but never inserted
     ghost_inst = tmp_path / "ghost.inst"
     ghost_inst.write_text("S a 1 5\n1 I a 5\n2 D zz never\n")  # zz was never announced
+    inst = tmp_path / "ok.inst"
+    inst.write_text("S a 1 5\n1 I a 5\n")
+    dstream = tmp_path / "ok.dstream"
+    dstream.write_text("1 I a 3\n2 I b inf\n3 D a\n")
     cases = [
         ["--problem", "counter", "--stream", str(bad)],
         *(
@@ -111,6 +115,18 @@ def test_input_error_exit_code(tmp_path, capsys):
             for mode in ("offline", "predicted", "backstopped")
         ),
         ["--problem", "decmax", "--instance", str(ghost_inst)],
+        # these modes run a --stream input only; an instance or dstream is
+        # not silently run in predicted mode instead
+        *(
+            ["--problem", "decmax", "--instance", str(inst), "--mode", mode]
+            for mode in ("offline", "backstopped", "boosted")
+        ),
+        *(
+            ["--problem", "counter", "--dstream", str(dstream), "--mode", mode]
+            for mode in ("offline", "backstopped", "boosted")
+        ),
+        # MSF is no incremental algorithm to lift with predicted deletions
+        ["--problem", "msf", "--dstream", str(dstream)],
     ]
     for case in cases:
         with warnings.catch_warnings(record=True) as caught:
@@ -119,6 +135,20 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert rc == 2, case
         assert "error:" in capsys.readouterr().err
         assert not caught, case  # rejected, not dropped from a backstop with a warning
+
+
+def test_boosted_rejects_invalid_bundle_chain(tmp_path, capsys):
+    stream = tmp_path / "x.stream"
+    stream.write_text("1 a I\n2 b I\n")
+    bundles = tmp_path / "x.bundles"
+    bundles.write_text("#bundle 1 1\na I 1\n#bundle 2 1\nb I 2\nc I 3\n")  # drops a
+    rc = main(
+        ["run", "--problem", "counter", "--stream", str(stream), "--mode", "boosted",
+         "--bundles", str(bundles), "--seed", "1"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bundles) in err and "does not contain its predecessor" in err
 
 
 def test_unreachable_inject_error_exit_code(tmp_path, capsys):

@@ -71,6 +71,14 @@ def test_bad_bundle_header_reports_line(tmp_path):
     assert f"{p}:3:" in str(err.value)
 
 
+def test_bad_bundle_kind_reports_line(tmp_path):
+    p = tmp_path / "bad.bundles"
+    p.write_text("#bundle 1 1\na I 3\na X 3\n")
+    with pytest.raises(fileio.FormatError) as err:
+        fileio.read_bundles(str(p))
+    assert f"{p}:3:" in str(err.value) and "bad kind" in str(err.value)
+
+
 def test_deletion_predicted_roundtrip(tmp_path):
     path = str(tmp_path / "x.dstream")
     items = [

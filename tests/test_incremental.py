@@ -1,5 +1,6 @@
 """Incremental adapter: permanent-element structure, clone isolation, and
-the just-in-time predicted-deletion mode."""
+the predicted-deletion setting (an engine given no predictions, fed
+insertions carrying predicted deletion days)."""
 
 import random
 
@@ -106,7 +107,7 @@ def test_clone_isolation():
 
 def jit_run(items, seed=0, contract=None):
     contract = contract or counter_contract()
-    eng = Engine(lift_incremental(contract), len(items), seed, jit=True)
+    eng = Engine(lift_incremental(contract), len(items), seed)
     for day, ev, pred in items:
         drain(eng.process_day(day, ev, predicted_deletion_day=pred))
     return eng
@@ -139,7 +140,7 @@ def test_jit_insertions_never_retrigger():
         items, _, _ = generate_deletion_predicted_stream(
             "counter", 8, 48, ErrorModel("uniform", sigma=10), seed
         )
-        eng = Engine(lift_incremental(counter_contract()), len(items), seed, jit=True)
+        eng = Engine(lift_incremental(counter_contract()), len(items), seed)
         for day, ev, pred in items:
             before = eng.counters.retrigger_calls
             drain(eng.process_day(day, ev, predicted_deletion_day=pred))

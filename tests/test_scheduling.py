@@ -17,7 +17,7 @@ from oracles import (
     optimal_offline_assign,
 )
 from predlift.model import DELETE, INSERT, Event, Prediction, l1_error
-from predlift.scheduling import Assignment, OpCounter, fix_ordering
+from predlift.scheduling import Assignment, SlotLine, fix_ordering
 
 
 def P(el, kind, day):
@@ -68,9 +68,10 @@ def test_horizon_exhaustion_overflows_past_T():
 def test_union_find_op_budget():
     rng = random.Random(5)
     ps = [P(f"e{i}", INSERT, rng.randint(1, 200)) for i in range(200)]
-    counter = OpCounter()
-    harmonic_assign(ps, 200, seed=2, counter=counter)
-    assert counter.ops <= 6 * len(ps)
+    line, pick = SlotLine(200), random.Random(2)
+    for p in ps:
+        line.assign_harmonic(p.predicted_day, pick)
+    assert line.ops <= 6 * len(ps)
 
 
 def test_fix_ordering_moves_deletion_to_insertion_day():
