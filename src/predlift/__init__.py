@@ -14,7 +14,7 @@ from .model import (
 from .engine import Engine, ScheduleBug, WorkCounters, drain, run_offline, run_predicted
 from .incremental import lift_incremental
 from .decremental import DecrementalRun
-from .boosting import Backstop, BoostConfig, SteppableEngine, backstop_run, boost_run
+from .boosting import Backstop, BoostConfig, SteppableEngine, boost_run
 from .timetree import PartitionTree
 from .scheduling import Assignment, SlotLine, fix_ordering
 from .problems import (
@@ -45,7 +45,6 @@ __all__ = [
     "Backstop",
     "BoostConfig",
     "SteppableEngine",
-    "backstop_run",
     "boost_run",
     "PartitionTree",
     "Assignment",

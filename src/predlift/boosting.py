@@ -20,16 +20,13 @@ replaying all previously seen events through a fresh backstop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
 from typing import Any, Callable, Iterator
 
 from .engine import Engine
 from .model import Event, Prediction
 from .problems import ActiveSet
-
-PROGRESSED = "progressed"
-BUFFER_COMPLETE = "buffer_complete"
 
 
 class SteppableEngine:
@@ -71,12 +68,10 @@ class SteppableEngine:
                 return False
         return True
 
-    def step(self) -> str:
-        if not self._refill():
-            return BUFFER_COMPLETE
-        self._pending -= 1
-        self.steps_taken += 1
-        return PROGRESSED
+    def step(self) -> None:
+        if self._refill():
+            self._pending -= 1
+            self.steps_taken += 1
 
     def is_complete(self) -> bool:
         return not self._refill()
@@ -130,17 +125,6 @@ class Backstop:
                 a.step()
             self.meta_steps += len(self.algorithms)
 
-    def step_spread(self) -> int:
-        taken = [a.steps_taken for a in self.algorithms]
-        return max(taken) - min(taken)
-
-
-def backstop_run(algorithms: list, stream: list[tuple[int, Event]]) -> tuple[list, Backstop]:
-    meta = Backstop(algorithms)
-    for day, ev in stream:
-        meta.feed(day, ev)
-    return meta.outputs, meta
-
 
 @dataclass
 class BoostConfig:
@@ -153,9 +137,7 @@ class BoostConfig:
 class EpochStats:
     horizon_guess: int
     L: int
-    L_uncapped: int
     replayed: int
-    instance_steps: list[int] = field(default_factory=list)
 
 
 def boost_run(
@@ -179,14 +161,8 @@ def boost_run(
     history: list[tuple[int, Event]] = []
     outputs: list[Any] = []
     epochs: list[EpochStats] = []
-
-    def close_epoch():
-        if meta is not None and epochs:
-            epochs[-1].instance_steps = [a.steps_taken for a in meta.algorithms]
-
     for day, ev in stream:
         if day >= horizon_guess:
-            close_epoch()
             idx = horizon_guess.bit_length()
             while idx > 1 and idx not in bundles:
                 idx -= 1  # missing bundle: fall back to the last available
@@ -207,8 +183,7 @@ def boost_run(
                 log(f"#epoch T^={horizon_guess} L={L} L_uncapped={l_uncapped}")
             for past_day, past_ev in history:
                 meta.feed(past_day, past_ev)
-            epochs.append(EpochStats(horizon_guess, L, l_uncapped, replayed=len(history)))
+            epochs.append(EpochStats(horizon_guess, L, replayed=len(history)))
         history.append((day, ev))
         outputs.append(meta.feed(day, ev))
-    close_epoch()
     return outputs, epochs

@@ -15,7 +15,7 @@ from .boosting import Backstop, BoostConfig, RecomputeBackstop, SteppableEngine,
 from .decremental import DecrementalRun
 from .engine import Engine, ScheduleBug, drain, run_offline, run_predicted
 from .incremental import lift_incremental
-from .model import BundleViolation, validate_bundle_sequence
+from .model import INSERT, BundleViolation, validate_bundle_sequence
 from .problems import (
     connectivity_contract,
     counter_contract,
@@ -34,6 +34,8 @@ from .streamgen import (
 
 OFFLINE_PROBLEMS = ("counter", "connectivity", "msf")
 PROBLEMS = OFFLINE_PROBLEMS + ("decmax",)
+# payload fields an insertion needs: an edge's endpoints, its weight, a value
+PAYLOAD_FIELDS = {"counter": 0, "connectivity": 2, "msf": 3, "decmax": 1}
 MODES = ("predicted", "offline", "brute-force", "backstopped", "boosted")
 
 
@@ -90,6 +92,20 @@ class FileUsage(ValueError):
     pass
 
 
+def _check_payloads(problem: str, path: str, stream, predicted_set) -> None:
+    """Every insertion, and every element of a predicted set, carries the
+    payload fields ``problem`` reads."""
+    need = PAYLOAD_FIELDS[problem]
+    short = [f"S {el}" for el, _, payload in predicted_set if len(payload) < need]
+    short += [
+        f"day {day} {ev.element}"
+        for day, ev in stream
+        if ev.kind == INSERT and len(ev.payload) < need
+    ]
+    if short:
+        raise FileUsage(f"{path}: {short[0]}: payload too short ({problem} reads {need} fields)")
+
+
 def _run_offline_problem(args, stream):
     """Daily outputs of an offline problem's stream in ``args.mode``, and
     the counters of its engine (None when several engines ran)."""
@@ -143,17 +159,18 @@ def _dispatch_run(args):
     online = args.problem == "decmax" or args.dstream
     if online and args.mode not in ("predicted", "brute-force"):
         raise FileUsage(f"--mode {args.mode} needs a --stream input")
-    if args.dstream and args.problem == "msf":
-        raise FileUsage("--dstream lifts an incremental problem (counter or connectivity)")
-    if args.problem == "decmax":
-        if not args.instance:
-            raise FileUsage("decmax needs --instance")
-        predicted_set, items = fileio.read_insertion_predicted_instance(args.instance)
-    elif args.dstream:
-        items = fileio.read_deletion_predicted_stream(args.dstream)
-    elif not args.stream:
+    if args.problem == "decmax" and not args.instance:
+        raise FileUsage("decmax needs --instance")
+    path = args.instance if args.problem == "decmax" else args.dstream or args.stream
+    if not path:
         raise FileUsage("need --stream (or --instance / --dstream)")
-    stream = [(day, ev) for day, ev, _ in items] if online else fileio.read_stream(args.stream)
+    predicted_set = []
+    if args.problem == "decmax":
+        predicted_set, items = fileio.read_insertion_predicted_instance(path)
+    elif args.dstream:
+        items = fileio.read_deletion_predicted_stream(path)
+    stream = [(day, ev) for day, ev, _ in items] if online else fileio.read_stream(path)
+    _check_payloads(args.problem, path, stream, predicted_set)
     if args.mode == "brute-force":
         return stream, oracle_daily_outputs(args.problem, stream), None  # no engine at all
     if args.problem == "decmax":

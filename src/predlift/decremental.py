@@ -25,15 +25,17 @@ from .incremental import lift_incremental
 
 
 class DecrementalContract(Protocol):
+    """The pluggable worst-case decremental algorithm: ``initialize`` on
+    the whole predicted set, then ``delete``, ``clone`` and
+    ``output(state)``, whose answer depends on the state alone."""
+
     def initialize(self, items: list[tuple[str, int]], capacity: int) -> tuple[Any, int]: ...
 
     def delete(self, state: Any, element: str) -> int: ...
 
     def clone(self, state: Any) -> tuple[Any, int]: ...
 
-    def output(self, state: Any, day: int | None = None) -> Any: ...
-
-    def query(self, state: Any, *args) -> Any: ...
+    def output(self, state: Any) -> Any: ...
 
 
 class _AntiContract:
@@ -44,9 +46,7 @@ class _AntiContract:
 
     def init(self):
         items = sorted((el, payload[0]) for el, payload in self.run.ground.items())
-        state, units = self.run.contract.initialize(items, self.run.T)
-        self.run.initialize_units += units
-        return state, units
+        return self.run.contract.initialize(items, self.run.T)
 
     def insert(self, state, anti_element, payload):
         return self.run.contract.delete(state, anti_element.rsplit("~", 1)[0])
@@ -54,11 +54,8 @@ class _AntiContract:
     def clone(self, state):
         return self.run.contract.clone(state)
 
-    def output(self, state, day):
-        return self.run.contract.output(state, day)
-
-    def query(self, state, *args):
-        return self.run.contract.query(state, *args)
+    def output(self, state):
+        return self.run.contract.output(state)
 
 
 class DecrementalRun:
@@ -80,7 +77,6 @@ class DecrementalRun:
         self.T = T
         self.ground: dict[str, tuple] = {el: payload for el, day, payload in predicted_set}
         self.generation: dict[str, int] = {el: 0 for el in self.ground}
-        self.initialize_units = 0
         self.out_of_set_inserts = 0  # the theorem's K
         self.engine = Engine(lift_incremental(_AntiContract(self)), T, seed)
         self.engine.preload_day0([(self._anti(el), payload) for el, _, payload in predicted_set])
@@ -89,18 +85,6 @@ class DecrementalRun:
 
     def _anti(self, element: str) -> str:
         return f"{element}~{self.generation[element]}"
-
-    def anti_active_ids(self) -> set[str]:
-        """Current anti-elements alive on the processed day (view duality
-        checks compare this against the complement of the real active set)."""
-        t = self.engine.current_day
-        out = set()
-        for el in self.ground:
-            anti = self._anti(el)
-            ins, dl = self.engine.schedule.lifetime(anti)
-            if ins is not None and ins <= t < dl:
-                out.add(anti)
-        return out
 
     def process_day(self, day: int, ev: Event, reinsertion_day: int | None = None) -> Any:
         if ev.kind == INSERT:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Iterator
 
+from .incremental import LiftedIncremental
 from .model import DELETE, END_OF_HORIZON, INSERT, Event, Prediction
 from .scheduling import Assignment, SlotLine, fix_ordering
 from .timetree import PartitionTree
@@ -169,10 +170,10 @@ class WindowCtx:
         across the parent either gained life inside (parent start, own
         start] or loses it inside (own end, parent end], and those ranges
         lie in the sibling window plus this window's first day."""
-        span = self.parent_span()
-        if span is None:
+        parent = self.parent_span()
+        if parent is None:
             return self._engine.schedule.all_records()
-        ps, pe = span
+        ps, pe = parent
         if self.start == ps:
             lo, hi = self.end + 1, pe
         else:
@@ -196,19 +197,19 @@ class WindowCtx:
 class Engine:
     """Fully dynamic run of a divide-and-conquer problem under predictions.
 
-    ``problem`` must provide::
+    ``problem`` provides exactly two methods::
 
         compute_window(ctx, parent_memory) -> (memory, compute_units, clone_units)
                                               parent_memory is None for the root
-        day_output(leaf_memory, ctx) -> answer
-        query(leaf_memory, args) -> answer    optional
+        day_output(leaf_memory, ctx) -> the day's answer, read from its leaf
 
     ``memory[nid]`` holds a window's computed memory, or None while the
     window is not live; only live windows are recomputed.  Ingesting
     predictions computes the whole tree; in an engine given none, each
     window goes live on its start day.  Insertions that arrive carrying a
     predicted deletion day (the deletion-predicted and decremental
-    settings) are for the latter.
+    settings) are for the latter, and only for a ``LiftedIncremental``
+    problem.
     """
 
     def __init__(
@@ -370,13 +371,27 @@ class Engine:
         """An insertion carrying ``predicted_deletion_day`` is recorded as
         realized and its deletion scheduled online, with no retrigger: in an
         engine given no predictions every live window starts before today,
-        so a lifted incremental problem has none holding the new element."""
+        so a lifted incremental problem has none holding the new element.
+        Where that does not hold (today's leaf is already live because the
+        engine ingested predictions, or the problem's windows depend on
+        more than their permanents) the insertion is a ``ScheduleBug``."""
         if day != self.current_day + 1:
             raise ScheduleBug(f"day {day} out of order (expected {self.current_day + 1})")
         if event.kind == DELETE:
             ins = self.schedule.by_key.get((event.element, INSERT))
             if ins is None or not ins.realized:
                 raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
+        elif predicted_deletion_day is not None:
+            if not isinstance(self.problem, LiftedIncremental):
+                raise ScheduleBug(
+                    f"day {day}: online insertion of {event.element} needs a lifted "
+                    "incremental problem"
+                )
+            if self.memory[self.tree.leaf_of[day]] is not None:
+                raise ScheduleBug(
+                    f"day {day}: online insertion of {event.element} into an engine "
+                    "that ingested predictions"
+                )
         self.current_day = day
         self.counters.day_overhead += 1
         yield 1
@@ -419,19 +434,13 @@ class Engine:
 
         self.outputs.append(self.day_output_value(day))
 
-    # -- outputs & queries ------------------------------------------------------
+    # -- outputs ----------------------------------------------------------------
 
     def day_output_value(self, day: int) -> Any:
         nid = self.tree.leaf_of[day]
         if self.memory[nid] is None:
             raise ScheduleBug(f"leaf for day {day} never computed")
         return self.problem.day_output(self.memory[nid], WindowCtx(self, nid))
-
-    def query(self, *args) -> Any:
-        if self.current_day < 1:
-            raise ScheduleBug("no day processed yet")
-        nid = self.tree.leaf_of[self.current_day]
-        return self.problem.query(self.memory[nid], *args)
 
 
 def drain(gen: Iterator[int]) -> int:

@@ -76,20 +76,6 @@ def read_predictions(path: str) -> list[Prediction]:
     return preds
 
 
-def read_prediction_meta(path: str) -> dict[str, str]:
-    meta = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line.startswith("# "):
-                parts = line[2:].split(None, 1)
-                if len(parts) == 2:
-                    meta[parts[0]] = parts[1]
-            elif line and not line.startswith("#"):
-                break
-    return meta
-
-
 def write_stream(path: str, events: Iterable[tuple[int, Event]]):
     with open(path, "w") as f:
         for day, ev in events:

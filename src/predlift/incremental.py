@@ -1,5 +1,10 @@
 """Wrap a worst-case incremental algorithm as a divide-and-conquer problem.
 
+The algorithm is an ``IncrementalContract``: ``init``, ``insert``, ``clone``
+and ``output(state)``.  ``LiftedIncremental`` turns it into the engine's
+two-method problem: ``compute_window`` builds a window's state, and
+``day_output`` reads the answer from the current day's leaf state.
+
 An element is permanent for a window when it is inserted on or before the
 window's first day, deleted after its last day, and not permanent for any
 ancestor.  The windows an element is permanent for partition its lifetime;
@@ -16,13 +21,15 @@ event can lie.
 
 from __future__ import annotations
 
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
-from .engine import WindowCtx
+if TYPE_CHECKING:  # the engine imports this module
+    from .engine import WindowCtx
 
 
 class IncrementalContract(Protocol):
-    """The pluggable worst-case incremental algorithm."""
+    """The pluggable worst-case incremental algorithm: four methods, and the
+    answer depends on the state alone."""
 
     def init(self) -> tuple[Any, int]:
         """Fresh empty state plus the units spent building it.  A state is
@@ -35,9 +42,8 @@ class IncrementalContract(Protocol):
     def clone(self, state: Any) -> tuple[Any, int]:
         """Independent copy plus its size in units."""
 
-    def output(self, state: Any, day: int) -> Any: ...
-
-    def query(self, state: Any, *args) -> Any: ...
+    def output(self, state: Any) -> Any:
+        """The answer for the elements inserted into ``state``."""
 
 
 def window_permanents(ctx: WindowCtx) -> list[str]:
@@ -87,10 +93,7 @@ class LiftedIncremental:
         return state, compute_units, clone_units
 
     def day_output(self, leaf_memory: Any, ctx: WindowCtx) -> Any:
-        return self.contract.output(leaf_memory, ctx.start)
-
-    def query(self, leaf_memory: Any, *args) -> Any:
-        return self.contract.query(leaf_memory, *args)
+        return self.contract.output(leaf_memory)
 
 
 def lift_incremental(contract: IncrementalContract) -> LiftedIncremental:

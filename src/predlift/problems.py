@@ -36,10 +36,7 @@ class CounterContract:
     def clone(self, state):
         return [state[0]], 1
 
-    def output(self, state, day):
-        return state[0]
-
-    def query(self, state, *args):
+    def output(self, state):
         return state[0]
 
 
@@ -90,18 +87,12 @@ class ConnectivityContract:
         parent, rank = state
         return (dict(parent), dict(rank)), len(parent) + len(rank) + 1
 
-    def output(self, state, day):
+    def output(self, state):
         parent, _ = state
         comps: dict[int, list[int]] = {}
         for v in parent:
             comps.setdefault(self._find(parent, v)[0], []).append(v)
         return tuple(sorted(tuple(sorted(c)) for c in comps.values()))
-
-    def query(self, state, u, v):
-        parent, _ = state
-        if u not in parent or v not in parent:
-            raise ValueError(f"unknown vertex in query: {u if u not in parent else v}")
-        return self._find(parent, u)[0] == self._find(parent, v)[0]
 
 
 def connectivity_contract() -> ConnectivityContract:
@@ -136,12 +127,9 @@ class DecrementalMaxContract:
         pairs, values = state
         return [list(pairs), dict(values)], len(pairs) + len(values) + 1
 
-    def output(self, state, day=None):
+    def output(self, state):
         pairs, _ = state
         return pairs[-1][0] if pairs else None
-
-    def query(self, state, *args):
-        return self.output(state)
 
 
 def decremental_max_contract() -> DecrementalMaxContract:
@@ -293,9 +281,6 @@ class MsfProblem:
         picked, weight = _kruskal(alive)
         ids = tuple(sorted(leaf.acc_ids | {eid for _, eid, _, _ in picked}))
         return (leaf.acc_weight + weight, ids)
-
-    def query(self, leaf: MsfGraph, *args):
-        raise NotImplementedError("MSF exposes per-day outputs, not point queries")
 
 
 def msf_problem() -> MsfProblem:

@@ -62,16 +62,14 @@ def _payload_for(problem: str, n: int, rng: random.Random) -> tuple:
     return ()
 
 
-def random_stream(
-    problem: str, n: int, T: int, rng: random.Random, p_delete: float = 0.45
-) -> list[tuple[int, Event]]:
+def random_stream(problem: str, n: int, T: int, rng: random.Random) -> list[tuple[int, Event]]:
     """Feasible realized stream: random insert/delete walk over unique
     lifetime ids."""
     events: list[tuple[int, Event]] = []
     active: list[str] = []
     serial = 0
     for day in range(1, T + 1):
-        if active and rng.random() < p_delete:
+        if active and rng.random() < 0.45:
             idx = rng.randrange(len(active))
             el = active.pop(idx)
             events.append((day, Event(el, DELETE)))
@@ -275,7 +273,7 @@ def generate_deletion_predicted_stream(
 
 
 def generate_insertion_predicted_instance(
-    n: int, T: int, model: ErrorModel, seed: int, reinsert: bool = True
+    n: int, T: int, model: ErrorModel, seed: int
 ) -> tuple[list[tuple[str, int, tuple]], list[tuple[int, Event, int | None]], int]:
     """Predicted-insertion instance for the decremental adapter (max
     problem).  Under the drop model a rho fraction of inserted elements is
@@ -295,7 +293,7 @@ def generate_insertion_predicted_instance(
             active.append(el)
         elif active and rng.random() < 0.5:
             el = active.pop(rng.randrange(len(active)))
-            if reinsert and rng.random() < 0.3:
+            if rng.random() < 0.3:
                 free = [d for d in range(day + 2, T + 1) if d not in pending]
                 if free:
                     back = rng.choice(free)

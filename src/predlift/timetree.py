@@ -106,15 +106,6 @@ class PartitionTree:
     def n_nodes(self) -> int:
         return len(self.start)
 
-    def is_leaf(self, nid: int) -> bool:
-        return self.left[nid] == -1
-
-    def span(self, nid: int) -> tuple[int, int]:
-        return self.start[nid], self.end[nid]
-
-    def subtree_leaves(self, nid: int) -> int:
-        return self.end[nid] - self.start[nid] + 1
-
     def smallest_window(self, t1: int, t2: int) -> int:
         """Lowest common ancestor of the leaves for days t1 and t2."""
         if not (1 <= t1 <= self.T and 1 <= t2 <= self.T):
@@ -168,14 +159,3 @@ class PartitionTree:
             if self.left[w] != -1:
                 q.append(self.left[w])
                 q.append(self.right[w])
-
-    def dump(self) -> str:
-        lines = []
-        stack = [(0, 0)]
-        while stack:
-            nid, d = stack.pop()
-            lines.append("  " * d + f"[{self.start[nid]}, {self.end[nid]}]")
-            if self.left[nid] != -1:
-                stack.append((self.right[nid], d + 1))
-                stack.append((self.left[nid], d + 1))
-        return "\n".join(lines)

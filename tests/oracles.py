@@ -1,7 +1,8 @@
 """Brute-force oracles and batch helpers that the tests compare the library
 against: batch slot assignment, the minimum-l1 and minimum-linf
 assignments, feasibility and displacement of an assignment, and the
-partition tree's window test straight from divider priorities."""
+partition tree's window test straight from divider priorities and a
+window's span."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from predlift.model import DELETE, INSERT, Prediction
 from predlift.scheduling import Assignment, SlotLine
+from predlift.timetree import PartitionTree
 
 # -- slot assignment ----------------------------------------------------------
 
@@ -138,6 +140,11 @@ def min_linf_error(predictions: list[Prediction], T: int) -> int:
 
 
 # -- partition tree -------------------------------------------------------------
+
+
+def span(tree: PartitionTree, nid: int) -> tuple[int, int]:
+    """First and last day of window ``nid``."""
+    return tree.start[nid], tree.end[nid]
 
 
 def is_window_interval(priorities: np.ndarray, a: int, b: int) -> bool:

@@ -108,6 +108,12 @@ def test_input_error_exit_code(tmp_path, capsys):
     inst.write_text("S a 1 5\n1 I a 5\n")
     dstream = tmp_path / "ok.dstream"
     dstream.write_text("1 I a 3\n2 I b inf\n3 D a\n")
+    edges = tmp_path / "edges.dstream"
+    edges.write_text("1 I a 0 1 5 3\n2 I b 1 2 4 inf\n3 D a\n")
+    short_edge = tmp_path / "short.stream"
+    short_edge.write_text("1 a I 1\n")  # an edge needs two endpoints
+    no_value = tmp_path / "novalue.inst"
+    no_value.write_text("S a 2\n1 I a 5\n")  # a predicted element needs its value
     cases = [
         ["--problem", "counter", "--stream", str(bad)],
         *(
@@ -126,7 +132,10 @@ def test_input_error_exit_code(tmp_path, capsys):
             for mode in ("offline", "backstopped", "boosted")
         ),
         # MSF is no incremental algorithm to lift with predicted deletions
-        ["--problem", "msf", "--dstream", str(dstream)],
+        ["--problem", "msf", "--dstream", str(edges)],
+        # payloads too short for the problem
+        ["--problem", "connectivity", "--stream", str(short_edge), "--mode", "offline"],
+        ["--problem", "decmax", "--instance", str(no_value)],
     ]
     for case in cases:
         with warnings.catch_warnings(record=True) as caught:

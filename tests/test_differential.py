@@ -7,7 +7,7 @@ from math import log2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predlift.boosting import Backstop, RecomputeBackstop, SteppableEngine
+from predlift.boosting import Backstop, BoostConfig, RecomputeBackstop, SteppableEngine, boost_run
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, drain, run_offline, run_predicted
 from predlift.incremental import lift_incremental
@@ -25,6 +25,7 @@ from predlift.streamgen import (
     generate_deletion_predicted_stream,
     generate_insertion_predicted_instance,
     generate_offline_instance,
+    make_bundles,
 )
 
 PROBLEMS = ("counter", "connectivity", "msf")
@@ -91,6 +92,31 @@ def test_offline_problem_modes_match_oracle(problem, mode, data, T, seed):
     if inst.l1 == 0 or mode == "offline":
         assert counters.retrigger_calls == 0
     assert counters.batch_max <= 2 * log2(T) + 4
+
+
+@settings(SETTINGS, max_examples=40)
+@given(
+    problem=st.sampled_from(PROBLEMS),
+    data=st.data(),
+    T=horizons,
+    cap=st.integers(1, 3),
+    seed=seeds,
+)
+def test_boosted_run_matches_oracle(problem, data, T, cap, seed):
+    """Guess-and-double over bundles of the predictions, the horizon
+    unknown to the run."""
+    model = data.draw(error_models(T))
+    inst = generate_offline_instance(problem, 8, T, model, seed)
+    bundles = {b.index: list(b.predictions) for b in make_bundles(inst.predictions, T)}
+
+    def factory(T_hat, preds, engine_seed):
+        engine = Engine(problem_impl(problem), T_hat, engine_seed, inst.payload_registry)
+        return SteppableEngine(engine, preds)
+
+    outputs, _ = boost_run(
+        factory, bundles, inst.stream, 8, BoostConfig(instances_cap=cap, seed=seed)
+    )
+    assert outputs == oracle_daily_outputs(problem, inst.stream)
 
 
 @SETTINGS

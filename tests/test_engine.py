@@ -6,7 +6,7 @@ import pytest
 from predlift.engine import Engine, ScheduleBug, drain, run_offline, run_predicted
 from predlift.incremental import lift_incremental
 from predlift.model import DELETE, INSERT, Event, Prediction
-from predlift.problems import counter_contract, oracle_daily_outputs
+from predlift.problems import counter_contract, msf_problem, oracle_daily_outputs
 from predlift.streamgen import ErrorModel, generate_offline_instance
 
 
@@ -158,8 +158,22 @@ def test_counter_dump_format():
     assert "total_units=" in block
 
 
-def test_query_reads_current_leaf():
-    preds = [P("a", INSERT, 1)]
-    eng = make_engine(8, preds)
+def test_online_insertion_into_ingested_engine_rejected():
+    """An ingested engine has every leaf live, so an insertion scheduled
+    without a retrigger would be missing from today's answer."""
+    eng = make_engine(8, [P("a", INSERT, 1)])
     drain(eng.process_day(1, Event("a", INSERT)))
-    assert eng.query() == 1  # counter's query returns the count
+    with pytest.raises(ScheduleBug, match="ingested"):
+        drain(eng.process_day(2, Event("b", INSERT), predicted_deletion_day=5))
+    assert eng.current_day == 1 and ("b", INSERT) not in eng.schedule.by_key
+    assert eng.outputs == [1]
+
+
+def test_online_insertion_needs_lifted_incremental_problem():
+    """An MSF window holds every edge with an event in its span; an edge
+    inserted without a retrigger would be missing from the windows above
+    today's leaf."""
+    eng = Engine(msf_problem(), 8, 1)
+    with pytest.raises(ScheduleBug, match="lifted incremental"):
+        drain(eng.process_day(1, Event("a", INSERT, (0, 1, 5)), predicted_deletion_day=3))
+    assert eng.current_day == 0 and not eng.schedule.by_key

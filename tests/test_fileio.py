@@ -21,7 +21,8 @@ def test_prediction_roundtrip(tmp_path):
         ("a", DELETE, 9),
         ("pad", INSERT, END_OF_HORIZON),
     ]
-    assert fileio.read_prediction_meta(path)["l1_error"] == "7"
+    with open(path) as f:
+        assert f.readline() == "# l1_error 7\n"
 
 
 def test_stream_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ insertions carrying predicted deletion days)."""
 
 import random
 
+from oracles import span
 from predlift.engine import Engine, WindowCtx, drain, run_predicted
 from predlift.incremental import lift_incremental, window_permanents
 from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
@@ -88,7 +89,7 @@ def test_permanents_bounded_by_sibling_event_count():
             if parent == -1:
                 continue
             sib = tree.right[parent] if tree.left[parent] == nid else tree.left[parent]
-            sib_events = len(eng.schedule.events_in(*tree.span(sib)))
+            sib_events = len(eng.schedule.events_in(*span(tree, sib)))
             first_day_events = len(eng.schedule.days[tree.start[nid]])
             assert len(window_permanents(WindowCtx(eng, nid))) <= sib_events + first_day_events
             checked += 1
@@ -101,8 +102,8 @@ def test_clone_isolation():
     contract.insert(state, "e1", (1, 2))
     copy, _ = contract.clone(state)
     contract.insert(copy, "e2", (2, 3))
-    assert contract.output(state, 0) == ((1, 2),)
-    assert contract.output(copy, 0) == ((1, 2, 3),)
+    assert contract.output(state) == ((1, 2),)
+    assert contract.output(copy) == ((1, 2, 3),)
 
 
 def jit_run(items, seed=0, contract=None):

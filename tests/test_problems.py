@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import span
 from predlift.engine import Engine, WindowCtx, drain, run_predicted
 from predlift.incremental import lift_incremental
 from predlift.model import DELETE, INSERT, Event
@@ -26,7 +27,7 @@ def test_counter_three_inserts():
     outs = []
     for i in range(3):
         c.insert(state, f"e{i}", ())
-        outs.append(c.output(state, i + 1))
+        outs.append(c.output(state))
     assert outs == [1, 2, 3]
 
 
@@ -39,18 +40,21 @@ def test_counter_insert_cost_is_one():
 def test_connectivity_queries():
     c = connectivity_contract()
     state, _ = c.init()
+
+    def component(v):
+        return next((comp for comp in c.output(state) if v in comp), None)
+
     c.insert(state, "e1", (1, 2))
-    assert c.query(state, 1, 2)
+    assert component(1) == component(2) == (1, 2)
     c.insert(state, "e2", (3, 4))
-    assert not c.query(state, 1, 3)
-    with pytest.raises(ValueError):
-        c.query(state, 1, 99)
+    assert component(1) != component(3)
+    assert component(99) is None  # a vertex no edge touched is in no component
 
 
 def test_connectivity_no_insertions_all_disconnected():
     c = connectivity_contract()
     state, _ = c.init()
-    assert c.output(state, 1) == ()
+    assert c.output(state) == ()
 
 
 def test_connectivity_insert_worst_case_units():
@@ -84,7 +88,7 @@ def test_all_contracts_clone_isolation():
     cc.insert(s, "x", ())
     s2, _ = cc.clone(s)
     cc.insert(s2, "y", ())
-    assert cc.output(s, 0) == 1 and cc.output(s2, 0) == 2
+    assert cc.output(s) == 1 and cc.output(s2) == 2
 
     dc = decremental_max_contract()
     s, _ = dc.initialize([("a", 1), ("b", 2)], 4)
@@ -185,11 +189,11 @@ def test_msf_window_sparsifier_soundness():
     tree = eng.tree
     for nid in range(1, tree.n_nodes()):
         parent = tree.parent[nid]
-        s, e = tree.span(nid)
+        s, e = span(tree, nid)
         for day in range(s, e + 1):
             assert msf_weight_at(eng.memory[nid], day) == msf_weight_at(
                 eng.memory[parent], day
-            ), (tree.span(nid), day)
+            ), (span(tree, nid), day)
 
 
 def test_exhaustive_counter_small_horizon():

@@ -4,7 +4,7 @@ priority-only fast path."""
 import numpy as np
 import pytest
 
-from oracles import is_window_interval, smallest_window_size
+from oracles import is_window_interval, smallest_window_size, span
 from predlift.timetree import PartitionTree
 
 
@@ -14,14 +14,14 @@ def all_spans(t: PartitionTree) -> set[tuple[int, int]]:
 
 def test_single_day():
     t = PartitionTree.build(1, seed=0)
-    assert t.span(0) == (1, 1)
+    assert span(t, 0) == (1, 1)
     assert t.depth() == 0
     assert t.smallest_window(1, 1) == 0
 
 
 def test_two_days():
     t = PartitionTree.build(2, seed=0)
-    assert t.span(0) == (1, 2)
+    assert span(t, 0) == (1, 2)
     assert all_spans(t) == {(1, 2), (1, 1), (2, 2)}
     assert t.depth() == 1
 
@@ -43,7 +43,7 @@ def test_every_window_satisfies_cartesian_property():
         t = PartitionTree.build(40, seed=seed)
         pr = t.priorities
         for i in range(t.n_nodes()):
-            a, b = t.span(i)
+            a, b = span(t, i)
             assert is_window_interval(pr, a, b), (a, b)
         # and every interval passing the test is a window
         spans = all_spans(t)
@@ -55,19 +55,19 @@ def test_every_window_satisfies_cartesian_property():
 def test_children_partition_parent():
     t = PartitionTree.build(33, seed=3)
     for i in range(t.n_nodes()):
-        if not t.is_leaf(i):
+        if t.left[i] != -1:
             l, r = t.left[i], t.right[i]
             assert t.start[l] == t.start[i]
             assert t.end[r] == t.end[i]
             assert t.end[l] + 1 == t.start[r]
-    assert sum(t.is_leaf(i) for i in range(t.n_nodes())) == 33
+    assert sum(t.left[i] == -1 for i in range(t.n_nodes())) == 33
 
 
 def test_smallest_window_basics():
     t = PartitionTree.build(64, seed=1)
-    assert t.span(t.smallest_window(7, 7)) == (7, 7)
+    assert span(t, t.smallest_window(7, 7)) == (7, 7)
     assert t.smallest_window(1, 64) == 0
-    a, b = t.span(t.smallest_window(10, 30))
+    a, b = span(t, t.smallest_window(10, 30))
     assert a <= 10 and b >= 30
     with pytest.raises(ValueError):
         t.smallest_window(0, 5)
@@ -79,7 +79,7 @@ def test_chain_of_windows_is_nested():
     nid = t.leaf_of[day]
     spans = []
     while nid != -1:
-        spans.append(t.span(nid))
+        spans.append(span(t, nid))
         nid = t.parent[nid]
     for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
         assert a2 <= a1 and b1 <= b2
@@ -94,13 +94,13 @@ def test_fast_window_size_matches_tree_lca():
         t1 = int(rng.integers(1, T + 1))
         t2 = int(rng.integers(1, T + 1))
         nid = t.smallest_window(t1, t2)
-        assert t.subtree_leaves(nid) == smallest_window_size(pr, t1, t2)
+        assert t.end[nid] - t.start[nid] + 1 == smallest_window_size(pr, t1, t2)
 
 
 def test_windows_starting_at():
     t = PartitionTree.build(16, seed=4)
     run = t.windows_starting_at(1)
-    assert t.span(run[0]) == (1, 16)  # root starts at day 1
+    assert span(t, run[0]) == (1, 16)  # root starts at day 1
     assert all(t.start[n] == 1 for n in run)
     for day in range(2, 17):
         for n in t.windows_starting_at(day):
@@ -115,10 +115,3 @@ def test_first_split_distribution_T4():
         counts[t.end[t.left[0]]] += 1
     for k in counts:
         assert abs(counts[k] / trials - 1 / 3) < 0.02
-
-
-def test_dump_mentions_every_leaf():
-    t = PartitionTree.build(5, seed=0)
-    text = t.dump()
-    for d in range(1, 6):
-        assert f"[{d}, {d}]" in text
