@@ -46,26 +46,23 @@ class SteppableEngine:
         self._gens: deque[Iterator[int]] = deque()
         if predictions is not None:
             self._gens.append(engine.ingest_predictions(predictions))
-        self._buffer: deque[tuple[int, Event, int | None]] = deque()
         self._pending = 0
         self.steps_taken = 0
 
     def buffer_event(self, day: int, event: Event, predicted_deletion_day: int | None = None):
-        self._buffer.append((day, event, predicted_deletion_day))
+        # creating the generator runs none of process_day: the day starts
+        # when the queue reaches it
+        self._gens.append(self.engine.process_day(day, event, predicted_deletion_day))
 
     def _refill(self) -> bool:
         while self._pending == 0:
-            if self._gens:
-                units = next(self._gens[0], None)
-                if units is None:
-                    self._gens.popleft()
-                    continue
-                self._pending = units
-            elif self._buffer:
-                day, ev, pred = self._buffer.popleft()
-                self._gens.append(self.engine.process_day(day, ev, predicted_deletion_day=pred))
-            else:
+            if not self._gens:
                 return False
+            units = next(self._gens[0], None)
+            if units is None:
+                self._gens.popleft()
+            else:
+                self._pending = units
         return True
 
     def step(self) -> None:

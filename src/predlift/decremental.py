@@ -79,7 +79,7 @@ class DecrementalRun:
         self.generation: dict[str, int] = {el: 0 for el in self.ground}
         self.out_of_set_inserts = 0  # the theorem's K
         self.engine = Engine(lift_incremental(_AntiContract(self)), T, seed)
-        self.engine.preload_day0([(self._anti(el), payload) for el, _, payload in predicted_set])
+        self.engine.preload_day0([self._anti(el) for el, _, _ in predicted_set])
         for el, day, _ in predicted_set:
             self.engine.schedule_deletion_prediction(self._anti(el), day)
 
@@ -87,9 +87,14 @@ class DecrementalRun:
         return f"{element}~{self.generation[element]}"
 
     def process_day(self, day: int, ev: Event, reinsertion_day: int | None = None) -> Any:
+        """Process the real event of ``day`` and return the day's answer.
+        Every ``ScheduleBug`` (a day out of order, a deletion of an absent
+        element, or one the engine raises) is raised before the run or its
+        engine changes any state."""
+        self.engine.check_day(day)
         if ev.kind == INSERT:
             if ev.element not in self.ground:
-                self._admit_new_element(day, ev)
+                self._admit_new_element(ev)
             anti = self._anti(ev.element)
             drain(self.engine.process_day(day, Event(anti, DELETE)))
         else:
@@ -105,23 +110,21 @@ class DecrementalRun:
             pred = END_OF_HORIZON if reinsertion_day is None else reinsertion_day
             drain(
                 self.engine.process_day(
-                    day, Event(anti, INSERT, self.ground[ev.element]), predicted_deletion_day=pred
+                    day, Event(anti, INSERT), predicted_deletion_day=pred
                 )
             )
         return self.engine.outputs[-1]
 
-    def _admit_new_element(self, day: int, ev: Event) -> None:
-        """Insertion outside S: grow the set, reinitialize from scratch, and
-        recompute the whole tree.  The new element's anti-instance is alive
-        [0, day) and its real deletion coincides with the insertion."""
+    def _admit_new_element(self, ev: Event) -> None:
+        """Insertion outside S: grow the set, with the new element's
+        anti-instance alive from day 0.  ``process_day`` then deletes it as
+        a never-predicted event, which recomputes the whole tree from the
+        root and so reinitializes the decremental algorithm on the grown
+        set."""
         self.ground[ev.element] = ev.payload
         self.generation[ev.element] = 0
-        anti = self._anti(ev.element)
-        self.engine.schedule.payloads[anti] = ev.payload
-        self.engine.schedule.add(anti, INSERT, 0, realized=True)
-        self.engine.schedule.add(anti, DELETE, day, realized=True)
         self.out_of_set_inserts += 1
-        drain(self.engine.retrigger(day, self.T + 1))
+        self.engine.preload_day0([self._anti(ev.element)])
 
     @property
     def outputs(self):

@@ -256,13 +256,11 @@ class Engine:
         for nid in chain((0,), self.tree.bfs_descendants(0)):
             yield self._recompute(nid, "preprocess")
 
-    def preload_day0(self, items: list[tuple[str, tuple]]) -> None:
+    def preload_day0(self, elements: list[str]) -> None:
         """Record elements present before day 1 (realized pre-horizon
         insertions); used by the decremental adapter."""
-        for element, payload in items:
+        for element in elements:
             self.schedule.add(element, INSERT, 0, realized=True)
-            if payload:
-                self.schedule.payloads[element] = payload
 
     def schedule_deletion_prediction(self, element: str, requested_day: int) -> int:
         """Assign a predicted deletion day online against the persistent
@@ -365,43 +363,57 @@ class Engine:
 
     # -- day loop -------------------------------------------------------------
 
+    def check_day(self, day: int) -> None:
+        """Raise ``ScheduleBug`` unless ``day`` is the next day of the horizon."""
+        if day != self.current_day + 1 or day > self.T:
+            raise ScheduleBug(
+                f"day {day} out of order (expected {self.current_day + 1}, horizon {self.T})"
+            )
+
     def process_day(
         self, day: int, event: Event, predicted_deletion_day: int | None = None
     ) -> Iterator[int]:
-        """An insertion carrying ``predicted_deletion_day`` is recorded as
+        """Process the real event of ``day``.  Every ``ScheduleBug`` is raised
+        before any state changes, so a rejected day leaves the engine as it
+        was and the right day can be fed next.
+
+        An insertion carrying ``predicted_deletion_day`` is recorded as
         realized and its deletion scheduled online, with no retrigger: in an
         engine given no predictions every live window starts before today,
         so a lifted incremental problem has none holding the new element.
         Where that does not hold (today's leaf is already live because the
         engine ingested predictions, or the problem's windows depend on
         more than their permanents) the insertion is a ``ScheduleBug``."""
-        if day != self.current_day + 1:
-            raise ScheduleBug(f"day {day} out of order (expected {self.current_day + 1})")
+        online = predicted_deletion_day is not None and event.kind == INSERT
+        rec = self.schedule.by_key.get(event.key)
+        self.check_day(day)
         if event.kind == DELETE:
             ins = self.schedule.by_key.get((event.element, INSERT))
             if ins is None or not ins.realized:
                 raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
-        elif predicted_deletion_day is not None:
-            if not isinstance(self.problem, LiftedIncremental):
-                raise ScheduleBug(
-                    f"day {day}: online insertion of {event.element} needs a lifted "
-                    "incremental problem"
-                )
-            if self.memory[self.tree.leaf_of[day]] is not None:
-                raise ScheduleBug(
-                    f"day {day}: online insertion of {event.element} into an engine "
-                    "that ingested predictions"
-                )
+        elif online and not isinstance(self.problem, LiftedIncremental):
+            raise ScheduleBug(
+                f"day {day}: online insertion of {event.element} needs a lifted "
+                "incremental problem"
+            )
+        elif online and self.memory[self.tree.leaf_of[day]] is not None:
+            raise ScheduleBug(
+                f"day {day}: online insertion of {event.element} into an engine "
+                "that ingested predictions"
+            )
+        if rec is not None and online:
+            raise ScheduleBug(f"element {event.element} inserted twice")
+        if rec is not None and rec.realized:
+            raise ScheduleBug(f"lifetime of {event.key} reused on day {day}")
+        if rec is not None and rec.day < day:
+            raise ScheduleBug(f"stale prediction {rec!r} survived past its day")
         self.current_day = day
         self.counters.day_overhead += 1
         yield 1
         if event.payload:
             self.schedule.payloads[event.element] = event.payload
 
-        rec = self.schedule.by_key.get(event.key)
-        if predicted_deletion_day is not None and event.kind == INSERT:
-            if rec is not None:
-                raise ScheduleBug(f"element {event.element} inserted twice")
+        if online:
             self.schedule.add(event.element, INSERT, day, realized=True)
             self.schedule_deletion_prediction(event.element, predicted_deletion_day)
             yield 1
@@ -409,16 +421,10 @@ class Engine:
             # never predicted: default prediction at the end of the horizon
             self.schedule.add(event.element, event.kind, day, realized=True)
             yield from self.retrigger(day, self.T + 1)
-        elif rec.realized:
-            if rec.day != day:
-                raise ScheduleBug(f"lifetime of {event.key} reused on day {day}")
-            # already reconciled by a rebuilding adapter: nothing to do
         elif day < rec.day:
             yield from self.process_event_earlier(rec, day)
-        elif day == rec.day:
-            rec.realized = True
         else:
-            raise ScheduleBug(f"stale prediction {rec!r} survived past its day")
+            rec.realized = True
 
         # snapshot, then reschedule every unrealized prediction of this day
         batch = list(self.schedule.days[day])

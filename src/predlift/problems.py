@@ -152,24 +152,27 @@ class MsfGraph:
         self.acc_ids = acc_ids
 
 
+def _find(uf: dict, x):
+    """Root of ``x`` in the union-find ``uf`` (a label absent from ``uf`` is
+    its own root), compressing the path.  Every union links the larger root
+    under the smaller, so a root is its component's smallest label."""
+    root = x
+    while uf.get(root, root) != root:
+        root = uf[root]
+    while uf.get(x, x) != root:
+        uf[x], x = root, uf[x]
+    return root
+
+
 def _kruskal(edges):
     """Forest of the minimum spanning forest under the total order (w, id).
     Returns (picked list, weight).  Tie order by id keeps the forest unique
     and diffable against the oracle."""
     parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != root:
-            parent[x], x = root, parent[x]
-        return root
-
     picked = []
     weight = 0
     for w, eid, u, v in sorted(edges):
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
             picked.append((w, eid, u, v))
@@ -226,22 +229,13 @@ class MsfProblem:
 
         # contraction test: volatile edges forced present
         parent_uf: dict = {}
-
-        def find(uf, x):
-            root = x
-            while uf.get(root, root) != root:
-                root = uf[root]
-            while uf.get(x, x) != root:
-                uf[x], x = root, uf[x]
-            return root
-
         for _, _, u, v in vol:
-            ru, rv = find(parent_uf, u), find(parent_uf, v)
+            ru, rv = _find(parent_uf, u), _find(parent_uf, v)
             if ru != rv:
                 parent_uf[max(ru, rv)] = min(ru, rv)
         contracted = []
         for w, eid, u, v in sorted(perm):
-            ru, rv = find(parent_uf, u), find(parent_uf, v)
+            ru, rv = _find(parent_uf, u), _find(parent_uf, v)
             if ru != rv:
                 parent_uf[max(ru, rv)] = min(ru, rv)
                 contracted.append((w, eid, u, v))
@@ -254,12 +248,12 @@ class MsfProblem:
         # rebuild labels under the new contractions
         con_uf: dict = {}
         for _, _, u, v in contracted:
-            ru, rv = find(con_uf, u), find(con_uf, v)
+            ru, rv = _find(con_uf, u), _find(con_uf, v)
             if ru != rv:
                 con_uf[max(ru, rv)] = min(ru, rv)
         new_edges = []
         for w, eid, u, v in residual + vol:
-            ru, rv = find(con_uf, u), find(con_uf, v)
+            ru, rv = _find(con_uf, u), _find(con_uf, v)
             if ru != rv:  # self-loops are in no spanning forest
                 new_edges.append((w, eid, ru, rv))
         new_edges.sort()

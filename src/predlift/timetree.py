@@ -41,16 +41,26 @@ class PartitionTree:
 
     def _build(self, pr: np.ndarray) -> None:
         T = self.T
-        n_nodes = 2 * T - 1
-        self.start = [0] * n_nodes
-        self.end = [0] * n_nodes
-        self.left = [-1] * n_nodes
-        self.right = [-1] * n_nodes
-        self.parent = [-1] * n_nodes
+        self.start = []
+        self.end = []
+        self.left = []
+        self.right = []
+        self.parent = []
+        self.leaf_of = [0] * (T + 1)  # 1-indexed by day
 
+        def new_node(a: int, b: int, parent: int) -> int:
+            nid = len(self.start)
+            self.start.append(a)
+            self.end.append(b)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.parent.append(parent)
+            if a == b:
+                self.leaf_of[a] = nid
+            return nid
+
+        root = new_node(1, T, -1)
         if T == 1:
-            self.start[0] = self.end[0] = 1
-            self.leaf_of = [0, 0]  # 1-indexed by day
             return
 
         # Min-Cartesian tree over divider indices 0..T-2 via monotone stack.
@@ -69,25 +79,6 @@ class PartitionTree:
 
         # Window for divider d over day interval [a, b]: children are the
         # sub-Cartesian-trees on [a, d+1] and [d+2, b] (days are 1-indexed).
-        self.start = []
-        self.end = []
-        self.left = []
-        self.right = []
-        self.parent = []
-        self.leaf_of = [0] * (T + 1)
-
-        def new_node(a: int, b: int, parent: int) -> int:
-            nid = len(self.start)
-            self.start.append(a)
-            self.end.append(b)
-            self.left.append(-1)
-            self.right.append(-1)
-            self.parent.append(parent)
-            if a == b:
-                self.leaf_of[a] = nid
-            return nid
-
-        root = new_node(1, T, -1)
         work = [(croot, 1, T, root)]
         while work:
             d, a, b, nid = work.pop()

@@ -2,7 +2,7 @@
 against: batch slot assignment, the minimum-l1 and minimum-linf
 assignments, feasibility and displacement of an assignment, and the
 partition tree's window test straight from divider priorities and a
-window's span."""
+window's span, and an engine's state in comparable form."""
 
 from __future__ import annotations
 
@@ -188,3 +188,22 @@ def smallest_window_size(priorities: np.ndarray, t1: int, t2: int) -> int:
     if idx.size:
         b = hi + int(idx[0])
     return b - a + 1
+
+
+# -- engine state -----------------------------------------------------------------
+
+
+def engine_state(eng) -> tuple:
+    """What a day of ``Engine.process_day`` may change, in comparable form:
+    the day, the outputs, the counters, every schedule record by day and
+    by key with the lookups beside them, and the window memories."""
+    sched = eng.schedule
+    return (
+        eng.current_day,
+        list(eng.outputs),
+        eng.counters.as_dict(),
+        [[repr(rec) for rec in recs] for recs in sched.days],
+        {key: repr(rec) for key, rec in sched.by_key.items()},
+        (dict(sched.payloads), dict(sched.ins_day), dict(sched.del_day)),
+        repr(eng.memory),
+    )

@@ -114,6 +114,13 @@ def test_input_error_exit_code(tmp_path, capsys):
     short_edge.write_text("1 a I 1\n")  # an edge needs two endpoints
     no_value = tmp_path / "novalue.inst"
     no_value.write_text("S a 2\n1 I a 5\n")  # a predicted element needs its value
+    # lines no writer writes: fields past a record's grammar, a late S line
+    junk_delete = tmp_path / "junk.dstream"
+    junk_delete.write_text("1 I a 3\n2 D a 99 junk\n")
+    extra_never = tmp_path / "extra.inst"
+    extra_never.write_text("S a 1 5\n1 I a 5\n2 I b 6\n3 D a never extra\n")
+    late_s = tmp_path / "late.inst"
+    late_s.write_text("S a 1 5\n1 I a 5\nS c 3 7\n2 D a never\n")
     cases = [
         ["--problem", "counter", "--stream", str(bad)],
         *(
@@ -136,6 +143,9 @@ def test_input_error_exit_code(tmp_path, capsys):
         # payloads too short for the problem
         ["--problem", "connectivity", "--stream", str(short_edge), "--mode", "offline"],
         ["--problem", "decmax", "--instance", str(no_value)],
+        ["--problem", "counter", "--dstream", str(junk_delete)],
+        ["--problem", "decmax", "--instance", str(extra_never)],
+        ["--problem", "decmax", "--instance", str(late_s)],
     ]
     for case in cases:
         with warnings.catch_warnings(record=True) as caught:

@@ -1,7 +1,11 @@
 """Decremental adapter: anti-element view duality, reinitialization on
 out-of-set insertions, output exactness."""
 
+import pytest
+
+from oracles import engine_state
 from predlift.decremental import DecrementalRun
+from predlift.engine import ScheduleBug
 from predlift.model import DELETE, INSERT, Event
 from predlift.problems import decremental_max_contract, oracle_daily_outputs
 from predlift.streamgen import ErrorModel, generate_insertion_predicted_instance
@@ -30,6 +34,11 @@ def test_zero_error_gradual_deletions():
     assert run.out_of_set_inserts == 0
 
 
+def run_state(run):
+    """The run's own state beside its engine's."""
+    return dict(run.ground), dict(run.generation), run.out_of_set_inserts, engine_state(run.engine)
+
+
 def test_out_of_set_insertion_triggers_one_reinit_and_full_retrigger():
     pset = [("a", 1, (5,))]
     events = [
@@ -38,7 +47,17 @@ def test_out_of_set_insertion_triggers_one_reinit_and_full_retrigger():
         (3, Event("zz", DELETE), None),
         (4, Event("a", DELETE), None),
     ]
-    run = run_instance(pset, events)
+    run = DecrementalRun(decremental_max_contract(), pset, 6, 0)
+    run.process_day(*events[0])
+    # a day out of order changes nothing: zz is not admitted, a keeps its
+    # anti-instance, and the right day can follow
+    before = run_state(run)
+    for wrong in (Event("zz", INSERT, (50,)), Event("a", DELETE)):
+        with pytest.raises(ScheduleBug, match="out of order"):
+            run.process_day(3, wrong)
+        assert run_state(run) == before
+    for day, ev, reins in events[1:]:
+        run.process_day(day, ev, reins)
     assert run.outputs == [5, 50, 5, None]
     assert run.out_of_set_inserts == 1
     assert run.counters.retrigger_calls >= 1

@@ -3,6 +3,7 @@ determinism."""
 
 import pytest
 
+from oracles import engine_state
 from predlift.engine import Engine, ScheduleBug, drain, run_offline, run_predicted
 from predlift.incremental import lift_incremental
 from predlift.model import DELETE, INSERT, Event, Prediction
@@ -89,13 +90,34 @@ def test_out_of_order_day_rejected():
     drain(eng.process_day(1, Event("a", INSERT)))
     with pytest.raises(ScheduleBug):
         drain(eng.process_day(3, Event("b", INSERT)))
+    for day in range(2, 9):
+        drain(eng.process_day(day, Event(f"x{day}", INSERT)))
+    before = engine_state(eng)
+    with pytest.raises(ScheduleBug, match="out of order"):
+        drain(eng.process_day(9, Event("x9", INSERT)))  # past the horizon
+    assert engine_state(eng) == before
 
 
 def test_duplicate_lifetime_rejected():
+    """A rejected day changes no state, so the right day can follow it."""
     eng = make_engine(8, [])
     drain(eng.process_day(1, Event("a", INSERT)))
-    with pytest.raises(ScheduleBug):
+    before = engine_state(eng)
+    with pytest.raises(ScheduleBug, match="reused"):
         drain(eng.process_day(2, Event("a", INSERT)))
+    assert engine_state(eng) == before
+    drain(eng.process_day(2, Event("b", INSERT)))
+    assert eng.outputs == [1, 2]
+
+    # an online insertion of a live element, in an engine given no predictions
+    eng = Engine(lift_incremental(counter_contract()), 8, 1)
+    drain(eng.process_day(1, Event("a", INSERT), predicted_deletion_day=5))
+    before = engine_state(eng)
+    with pytest.raises(ScheduleBug, match="inserted twice"):
+        drain(eng.process_day(2, Event("a", INSERT), predicted_deletion_day=5))
+    assert engine_state(eng) == before
+    drain(eng.process_day(2, Event("b", INSERT), predicted_deletion_day=6))
+    assert eng.outputs == [1, 2]
 
 
 def test_batch_bound_holds():

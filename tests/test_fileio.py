@@ -104,3 +104,33 @@ def test_insertion_predicted_roundtrip(tmp_path):
     pback, eback = fileio.read_insertion_predicted_instance(path)
     assert pback == pset
     assert eback == events
+
+
+def test_bad_line_reports_path_and_line(tmp_path):
+    """Each reader rejects, at its line, what its writer never writes."""
+    cases = [
+        (fileio.read_predictions, "# l1_error 0\na I 3\n", "a I 3 4\n"),
+        (fileio.read_predictions, "a I 3\n", "a I x\n"),
+        (fileio.read_stream, "1 a I\n", "2 b\n"),
+        (fileio.read_stream, "1 a I 0 1\n", "2 b I 0 x\n"),
+        (fileio.read_stream, "1 a I\n", "2 b X\n"),
+        (fileio.read_bundles, "\n", "a I 3\n"),  # before any #bundle header
+        (fileio.read_bundles, "#bundle 1 1\n", "a I 3 4\n"),
+        (fileio.read_bundles, "#bundle 1 1\na I 3\n", "#bundle 2\n"),
+        (fileio.read_deletion_predicted_stream, "1 I a 3\n", "2 D a 99 junk\n"),
+        (fileio.read_deletion_predicted_stream, "1 I a 3\n", "2 I b\n"),
+        (fileio.read_deletion_predicted_stream, "1 I a 3\n", "3 D a\n"),
+        (fileio.read_insertion_predicted_instance, "S a 1 5\n1 I a 5\n", "2 D a\n"),
+        (fileio.read_insertion_predicted_instance, "S a 1 5\n1 I a 5\n2 D a 4\n",
+         "3 D a never extra\n"),
+        (fileio.read_insertion_predicted_instance, "S a 1 5\n1 I a 5\n", "S c 3 7\n"),
+        (fileio.read_insertion_predicted_instance, "S a 1 5\n", "S b\n"),
+        (fileio.read_insertion_predicted_instance, "S a 1 5\n", "1 X a\n"),
+    ]
+    for reader, good, bad in cases:
+        path = tmp_path / "bad"
+        path.write_text(good + bad)
+        with pytest.raises(fileio.FormatError) as err:
+            reader(str(path))
+        lineno = len(good.splitlines()) + 1
+        assert str(err.value).startswith(f"{path}:{lineno}: "), (reader, bad)
