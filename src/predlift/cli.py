@@ -216,6 +216,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise FileUsage(f"--seeds must be at least 1, got {args.seeds}")
     multipliers = [int(x) for x in args.errors.split(",")]
     rows = []
     for mult in multipliers:

@@ -11,8 +11,8 @@ day), with all anti-elements of the predicted set S present before day 1.
 Elements can be deleted and reinserted repeatedly; each absence interval of
 e becomes a fresh anti-element instance ``e~k`` so the engine always sees
 one lifetime per id.  Inserting an element outside S grows S, reruns the
-decremental initialization from scratch, and retriggers the whole tree
-(charged like an l1 error of T).
+decremental initialization from scratch at the root, and recomputes the
+windows below it that can still be read (charged like an l1 error of T).
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ class DecrementalRun:
     def _admit_new_element(self, ev: Event) -> None:
         """Insertion outside S: grow the set, with the new element's
         anti-instance alive from day 0.  ``process_day`` then deletes it as
-        a never-predicted event, which recomputes the whole tree from the
-        root and so reinitializes the decremental algorithm on the grown
-        set."""
+        a never-predicted event, which recomputes the root (reinitializing
+        the decremental algorithm on the grown set) and below it only the
+        windows containing today, the only ones still read."""
         self.ground[ev.element] = ev.payload
         self.generation[ev.element] = 0
         self.out_of_set_inserts += 1

@@ -13,7 +13,9 @@ containing both days is recomputed.  When a predicted event fails to
 materialize on its day, it is pushed 2^i days ahead (doubling with each
 miss) and the covering subtree is recomputed.  Either way the recomputation
 never touches windows whose unordered event set is unchanged, which is what
-ties total work to the l1 prediction error.
+ties total work to the l1 prediction error.  Nor does it touch a window
+whose last day has passed: a day's answer is read from its own leaf, so such
+a window keeps its last memory but is never recomputed or read again.
 
 All long-running entry points are generators that yield work-unit counts,
 so an engine can be driven to completion in a tight loop or preempted after
@@ -23,8 +25,8 @@ any single unit (see the boosting module).
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Iterator
 
 from .incremental import LiftedIncremental
@@ -204,7 +206,9 @@ class Engine:
         day_output(leaf_memory, ctx) -> the day's answer, read from its leaf
 
     ``memory[nid]`` holds a window's computed memory, or None while the
-    window is not live; only live windows are recomputed.  Ingesting
+    window is not live.  A window is live from its first compute on, and
+    only live windows whose last day has not passed are recomputed; an
+    ended window keeps its last memory, which nothing reads.  Ingesting
     predictions computes the whole tree; in an engine given none, each
     window goes live on its start day.  Insertions that arrive carrying a
     predicted deletion day (the deletion-predicted and decremental
@@ -238,7 +242,7 @@ class Engine:
     def ingest_predictions(self, predictions: list[Prediction]) -> Iterator[int]:
         """Convert raw predictions into a feasible schedule (harmonic online
         matching plus the insert-before-delete ordering fix) and compute the
-        whole tree once, breadth-first."""
+        whole tree once, in node-id order: each parent before its children."""
         live = [p for p in predictions if not p.is_sentinel]
         seen = set()
         for p in live:
@@ -253,7 +257,7 @@ class Engine:
         yield max(1, ops)
         for p, day in zip(assignment.predictions, assignment.days):
             self.schedule.add(p.event.element, p.event.kind, min(day, self.T + 1))
-        for nid in chain((0,), self.tree.bfs_descendants(0)):
+        for nid in range(self.tree.n_nodes()):
             yield self._recompute(nid, "preprocess")
 
     def preload_day0(self, elements: list[str]) -> None:
@@ -298,8 +302,10 @@ class Engine:
 
     def retrigger(self, t1: int, t2: int, widen: bool = False) -> Iterator[int]:
         """Recompute every live descendant of the smallest window holding
-        both days, children before grandchildren so each recomputation reads
-        a fresh parent memory.
+        both days whose last day has not passed, children before
+        grandchildren so each recomputation reads a fresh parent memory.
+        A window that ended before today keeps its last memory but is never
+        read again, and nor is anything below it, so the walk stops there.
 
         ``widen`` is set when the moved record is an insertion: a window
         starting exactly at the lower day tests "inserted on or before my
@@ -317,13 +323,19 @@ class Engine:
         lo, hi = min(t1, t2), max(t1, t2)
         if widen:
             lo -= 1
+        tree = self.tree
         if hi > self.T or lo < 1:
-            nids = chain((0,), self.tree.bfs_descendants(0))
+            queue = deque([0])
         else:
-            nids = self.tree.bfs_descendants(self.tree.smallest_window(lo, hi))
-        for nid in nids:
-            if self.memory[nid] is not None:
-                yield self._recompute(nid, bucket="retrigger")
+            top = tree.smallest_window(lo, hi)
+            queue = deque([tree.left[top], tree.right[top]])
+        while queue:
+            nid = queue.popleft()
+            # below a window not yet live or already ended, every window is too
+            if nid == -1 or self.memory[nid] is None or tree.end[nid] < self.current_day:
+                continue
+            yield self._recompute(nid, bucket="retrigger")
+            queue.extend((tree.left[nid], tree.right[nid]))
 
     # -- handlers ------------------------------------------------------------
 

@@ -13,8 +13,6 @@ the full range acting as rank minus-infinity.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 
@@ -22,7 +20,8 @@ class PartitionTree:
     """Binary partition tree over days [1, T].
 
     Node arrays: ``start``/``end`` are inclusive day bounds, ``left``/
-    ``right``/``parent`` are node ids (-1 for none).  The root is node 0.
+    ``right``/``parent`` are node ids (-1 for none).  The root is node 0,
+    and a parent's id is smaller than its children's.
     """
 
     def __init__(self, T: int, priorities: np.ndarray):
@@ -137,16 +136,3 @@ class PartitionTree:
             nid = self.parent[nid]
         out.reverse()
         return out
-
-    def bfs_descendants(self, nid: int):
-        """Yield strict descendants of nid in breadth-first order."""
-        q = deque()
-        if self.left[nid] != -1:
-            q.append(self.left[nid])
-            q.append(self.right[nid])
-        while q:
-            w = q.popleft()
-            yield w
-            if self.left[w] != -1:
-                q.append(self.left[w])
-                q.append(self.right[w])

@@ -2,14 +2,17 @@
 against: batch slot assignment, the minimum-l1 and minimum-linf
 assignments, feasibility and displacement of an assignment, and the
 partition tree's window test straight from divider priorities and a
-window's span, and an engine's state in comparable form."""
+window's span, an engine's state in comparable form, and a record of the
+window computes that run after the window's last day."""
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import numpy as np
 
+from predlift.engine import Engine
 from predlift.model import DELETE, INSERT, Prediction
 from predlift.scheduling import Assignment, SlotLine
 from predlift.timetree import PartitionTree
@@ -207,3 +210,23 @@ def engine_state(eng) -> tuple:
         (dict(sched.payloads), dict(sched.ins_day), dict(sched.del_day)),
         repr(eng.memory),
     )
+
+
+@contextmanager
+def ended_window_computes():
+    """Record, while the block runs, every window compute of any engine that
+    happens after the window's last day: a list of (window span, day)
+    pairs.  ``Engine._recompute`` is restored on exit."""
+    ended: list[tuple[tuple[int, int], int]] = []
+    recompute = Engine._recompute
+
+    def recording(eng, nid, bucket):
+        if eng.tree.end[nid] < eng.current_day:
+            ended.append((span(eng.tree, nid), eng.current_day))
+        return recompute(eng, nid, bucket)
+
+    Engine._recompute = recording
+    try:
+        yield ended
+    finally:
+        Engine._recompute = recompute

@@ -154,6 +154,10 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert rc == 2, case
         assert "error:" in capsys.readouterr().err
         assert not caught, case  # rejected, not dropped from a backstop with a warning
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--seeds", "0", "--T", "16", "--out", str(out)]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the output file is opened
 
 
 def test_boosted_rejects_invalid_bundle_chain(tmp_path, capsys):

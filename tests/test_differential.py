@@ -1,12 +1,14 @@
 """Generated differential tests: in every mode, under every error model, the
-daily outputs equal the from-scratch oracle's, and the counters stay within
-the bounds the paper proves."""
+daily outputs equal the from-scratch oracle's, the counters stay within
+the bounds the paper proves, and no window is computed after its last day,
+when nothing can read it."""
 
 from math import log2
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ended_window_computes
 from predlift.boosting import Backstop, BoostConfig, RecomputeBackstop, SteppableEngine, boost_run
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, drain, run_offline, run_predicted
@@ -87,8 +89,10 @@ def run_mode(mode, problem, inst, seed):
 def test_offline_problem_modes_match_oracle(problem, mode, data, T, seed):
     model = data.draw(error_models(T))
     inst = generate_offline_instance(problem, 8, T, model, seed)
-    outputs, counters = run_mode(mode, problem, inst, seed)
+    with ended_window_computes() as ended:
+        outputs, counters = run_mode(mode, problem, inst, seed)
     assert outputs == oracle_daily_outputs(problem, inst.stream)
+    assert not ended
     if inst.l1 == 0 or mode == "offline":
         assert counters.retrigger_calls == 0
     assert counters.batch_max <= 2 * log2(T) + 4
@@ -113,10 +117,12 @@ def test_boosted_run_matches_oracle(problem, data, T, cap, seed):
         engine = Engine(problem_impl(problem), T_hat, engine_seed, inst.payload_registry)
         return SteppableEngine(engine, preds)
 
-    outputs, _ = boost_run(
-        factory, bundles, inst.stream, 8, BoostConfig(instances_cap=cap, seed=seed)
-    )
+    with ended_window_computes() as ended:
+        outputs, _ = boost_run(
+            factory, bundles, inst.stream, 8, BoostConfig(instances_cap=cap, seed=seed)
+        )
     assert outputs == oracle_daily_outputs(problem, inst.stream)
+    assert not ended
 
 
 @SETTINGS
@@ -131,9 +137,11 @@ def test_deletion_predicted_engine_matches_oracle(problem, data, T, seed):
     model = data.draw(error_models(T))
     items, _, err = generate_deletion_predicted_stream(problem, 8, T, model, seed)
     eng = Engine(problem_impl(problem), T, seed)
-    for day, ev, pred in items:
-        drain(eng.process_day(day, ev, predicted_deletion_day=pred))
+    with ended_window_computes() as ended:
+        for day, ev, pred in items:
+            drain(eng.process_day(day, ev, predicted_deletion_day=pred))
     assert eng.outputs == oracle_daily_outputs(problem, [(d, ev) for d, ev, _ in items])
+    assert not ended
     if err == 0:
         assert eng.counters.retrigger_calls == 0
 
@@ -144,9 +152,11 @@ def test_decremental_run_matches_oracle(data, T, seed):
     model = data.draw(error_models(T, kinds=("exact", "uniform", "drop")))
     predicted_set, items, _ = generate_insertion_predicted_instance(12, T, model, seed)
     run = DecrementalRun(decremental_max_contract(), predicted_set, T, seed)
-    for day, ev, reins in items:
-        run.process_day(day, ev, reins)
+    with ended_window_computes() as ended:
+        for day, ev, reins in items:
+            run.process_day(day, ev, reins)
     assert run.outputs == oracle_daily_outputs("decmax", [(d, ev) for d, ev, _ in items])
+    assert not ended
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

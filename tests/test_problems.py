@@ -2,6 +2,7 @@
 isolation, MSF sparsifier soundness."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -168,14 +169,13 @@ def test_msf_outputs_equal_kruskal_oracle():
 
 
 def test_msf_window_sparsifier_soundness():
-    """For every window and every day in its span: spanning-forest weight of
-    the window graph plus its contracted weight equals that of the parent
-    graph plus the parent's, over the edges alive that day."""
+    """For every window and every day in its span, checked on that day while
+    the window is still maintained: spanning-forest weight of the window
+    graph plus its contracted weight equals that of the parent graph plus
+    the parent's, over the edges alive that day."""
     inst = generate_offline_instance("msf", 10, 32, ErrorModel("uniform", sigma=5), 3)
-    eng = run_predicted(
-        msf_problem(), inst.T, inst.predictions, inst.stream, 8,
-        payload_registry=inst.payload_registry,
-    )
+    eng = Engine(msf_problem(), inst.T, 8, payload_registry=inst.payload_registry)
+    drain(eng.ingest_predictions(inst.predictions))
 
     def msf_weight_at(mem, day):
         alive = []
@@ -187,13 +187,20 @@ def test_msf_window_sparsifier_soundness():
         return w + mem.acc_weight
 
     tree = eng.tree
-    for nid in range(1, tree.n_nodes()):
-        parent = tree.parent[nid]
-        s, e = span(tree, nid)
-        for day in range(s, e + 1):
+    checked = Counter()
+    for day, ev in inst.stream:
+        drain(eng.process_day(day, ev))
+        nid = tree.leaf_of[day]
+        while nid != 0:
+            parent = tree.parent[nid]
             assert msf_weight_at(eng.memory[nid], day) == msf_weight_at(
                 eng.memory[parent], day
             ), (span(tree, nid), day)
+            checked[nid, day] += 1
+            nid = parent
+    # every (window, day in its span) pair below the root, each exactly once
+    assert set(checked.values()) == {1}
+    assert len(checked) == sum(tree.end[n] - tree.start[n] + 1 for n in range(1, tree.n_nodes()))
 
 
 def test_exhaustive_counter_small_horizon():

@@ -60,6 +60,8 @@ def test_children_partition_parent():
             assert t.start[l] == t.start[i]
             assert t.end[r] == t.end[i]
             assert t.end[l] + 1 == t.start[r]
+        if i != 0:
+            assert t.parent[i] < i  # ids list each parent before its children
     assert sum(t.left[i] == -1 for i in range(t.n_nodes())) == 33
 
 
