@@ -47,12 +47,11 @@ class SteppableEngine:
         if predictions is not None:
             self._gens.append(engine.ingest_predictions(predictions))
         self._pending = 0
-        self.steps_taken = 0
 
-    def buffer_event(self, day: int, event: Event, predicted_deletion_day: int | None = None):
+    def buffer_event(self, day: int, event: Event):
         # creating the generator runs none of process_day: the day starts
         # when the queue reaches it
-        self._gens.append(self.engine.process_day(day, event, predicted_deletion_day))
+        self._gens.append(self.engine.process_day(day, event))
 
     def _refill(self) -> bool:
         while self._pending == 0:
@@ -68,7 +67,6 @@ class SteppableEngine:
     def step(self) -> None:
         if self._refill():
             self._pending -= 1
-            self.steps_taken += 1
 
     def is_complete(self) -> bool:
         return not self._refill()
@@ -88,9 +86,7 @@ class RecomputeBackstop:
         self._active = ActiveSet()
         self.outputs: list[Any] = []
 
-    def process_day(
-        self, day: int, event: Event, predicted_deletion_day: int | None = None
-    ) -> Iterator[int]:
+    def process_day(self, day: int, event: Event) -> Iterator[int]:
         self._active.apply(day, event)
         self.outputs.append(self._answer(self._active.items))
         yield len(self._active.items) + 1
@@ -106,9 +102,9 @@ class Backstop:
         self.meta_steps = 0
         self.outputs: list[Any] = []
 
-    def feed(self, day: int, event: Event, predicted_deletion_day: int | None = None) -> Any:
+    def feed(self, day: int, event: Event) -> Any:
         for a in self.algorithms:
-            a.buffer_event(day, event, predicted_deletion_day)
+            a.buffer_event(day, event)
         while True:
             # completion is checked at round boundaries without consuming a
             # step, so every round issues exactly one step to every

@@ -92,9 +92,11 @@ class FileUsage(ValueError):
     pass
 
 
-def _check_payloads(problem: str, path: str, stream, predicted_set) -> None:
-    """Every insertion, and every element of a predicted set, carries the
-    payload fields ``problem`` reads."""
+def _check_payloads(problem: str, path: str, stream, predicted_set=(), predictions=()) -> None:
+    """Every insertion, every element of a predicted set, and every predicted
+    insertion in ``predictions`` carries the payload fields ``problem``
+    reads.  A prediction carries no payload: its element's comes from the
+    stream, so an element the stream never inserts with one has none."""
     need = PAYLOAD_FIELDS[problem]
     short = [f"S {el}" for el, _, payload in predicted_set if len(payload) < need]
     short += [
@@ -104,6 +106,14 @@ def _check_payloads(problem: str, path: str, stream, predicted_set) -> None:
     ]
     if short:
         raise FileUsage(f"{path}: {short[0]}: payload too short ({problem} reads {need} fields)")
+    registry = {ev.element: ev.payload for _, ev in stream if ev.kind == INSERT}
+    for p in predictions:
+        el = p.event.element
+        if p.event.kind == INSERT and not p.is_sentinel and len(registry.get(el, ())) < need:
+            raise FileUsage(
+                f"{path}: predicted insertion of {el} has no payload in the stream "
+                f"({problem} reads {need} fields)"
+            )
 
 
 def _run_offline_problem(args, stream):
@@ -111,6 +121,8 @@ def _run_offline_problem(args, stream):
     the counters of its engine (None when several engines ran)."""
     problem = _problem_impl(args.problem)
     predictions = fileio.read_predictions(args.pred) if args.pred else []
+    if args.mode in ("predicted", "backstopped"):
+        _check_payloads(args.problem, args.pred, stream, predictions=predictions)
     registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
     T = len(stream)
     if args.mode == "offline":
@@ -133,6 +145,8 @@ def _run_offline_problem(args, stream):
         except BundleViolation as exc:
             raise FileUsage(f"{args.bundles}: {exc}") from None
         bundles = {b.index: list(b.predictions) for b in sequence}
+        predicted = [p for b in sequence for p in b.predictions]
+        _check_payloads(args.problem, args.bundles, stream, predictions=predicted)
         ground = {p.event.element for bs in bundles.values() for p in bs if not p.is_sentinel}
 
         def factory(T_hat, preds, seed):

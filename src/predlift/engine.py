@@ -128,26 +128,13 @@ class Schedule:
         self.days[min(new_day, self.T + 1)].append(rec)
         (self.ins_day if rec.kind == INSERT else self.del_day)[rec.element] = new_day
 
-    def events_in(self, a: int, b: int) -> list[Rec]:
-        out: list[Rec] = []
-        for d in range(a, b + 1):
-            out.extend(self.days[d])
-        return out
-
-    def all_records(self):
-        return self.by_key.values()
-
-    def lifetime(self, element: str) -> tuple[int | None, int]:
-        """(insertion day or None, deletion day or T+1).  An element is
-        active on day t iff ins is not None and ins <= t < del."""
-        return self.ins_day.get(element), self.del_day.get(element, self.T + 1)
-
 
 class WindowCtx:
     """What a window's computation may look at: its span ``start``..``end``
-    and its parent's span, its own unordered event set, the slice of the
-    parent's event set where its permanent elements have events, current
-    element lifetimes, and element payloads."""
+    and its parent's span, the records it may scan (``permanent_candidates``:
+    the whole schedule at the root, else the slice of the parent's event set
+    where a permanent element has an event), current element lifetimes
+    (``lifetime_maps``), and element payloads."""
 
     __slots__ = ("_engine", "nid", "start", "end")
 
@@ -163,18 +150,16 @@ class WindowCtx:
             return None
         return (self._engine.tree.start[p], self._engine.tree.end[p])
 
-    def events(self) -> list[Rec]:
-        return self._engine.schedule.events_in(self.start, self.end)
-
     def permanent_candidates(self):
         """The slice of the parent's update set where a permanent element
         must have an event: an element alive across this window but not
         across the parent either gained life inside (parent start, own
         start] or loses it inside (own end, parent end], and those ranges
-        lie in the sibling window plus this window's first day."""
+        lie in the sibling window plus this window's first day.  The root
+        has no parent: its candidates are every record of the schedule."""
         parent = self.parent_span()
         if parent is None:
-            return self._engine.schedule.all_records()
+            return self._engine.schedule.by_key.values()
         ps, pe = parent
         if self.start == ps:
             lo, hi = self.end + 1, pe
@@ -183,12 +168,10 @@ class WindowCtx:
         days = self._engine.schedule.days
         return (rec for d in range(lo, hi + 1) for rec in days[d])
 
-    def lifetime(self, element: str) -> tuple[int | None, int]:
-        return self._engine.schedule.lifetime(element)
-
     def lifetime_maps(self) -> tuple[dict[str, int], dict[str, int], int]:
-        """(insertion days, deletion days, day meaning never-deleted); the
-        raw dictionaries behind lifetime(), for tight scan loops."""
+        """(insertion days, deletion days, day meaning never-deleted).  An
+        element is active on day t iff it has an insertion day ins and
+        ins <= t < its deletion day, which defaults to the third value."""
         sched = self._engine.schedule
         return sched.ins_day, sched.del_day, sched.T + 1
 
@@ -204,6 +187,10 @@ class Engine:
         compute_window(ctx, parent_memory) -> (memory, compute_units, clone_units)
                                               parent_memory is None for the root
         day_output(leaf_memory, ctx) -> the day's answer, read from its leaf
+
+    Both read the schedule only through the ``WindowCtx`` they are handed:
+    records through ``permanent_candidates`` and lifetimes through
+    ``lifetime_maps``.
 
     ``memory[nid]`` holds a window's computed memory, or None while the
     window is not live.  A window is live from its first compute on, and
@@ -230,7 +217,7 @@ class Engine:
         if payload_registry:
             self.schedule.payloads.update(payload_registry)
         self.tree = PartitionTree.build(T, seed ^ 0x5EED)
-        self.counters.depth = self.tree.depth()
+        self.counters.depth = self.tree.depth
         self.memory: list[Any] = [None] * self.tree.n_nodes()
         self._rng = random.Random(seed)
         self._slotline = SlotLine(T)
@@ -277,7 +264,7 @@ class Engine:
             slot = self._slotline.assign_harmonic(requested_day, self._rng)
             if slot > self.T:
                 slot = self.T + 1
-        ins_day, _ = self.schedule.lifetime(element)
+        ins_day = self.schedule.ins_day.get(element)
         if ins_day is not None and slot < ins_day:
             slot = ins_day
         self.schedule.add(element, DELETE, slot)

@@ -16,7 +16,9 @@ Every permanent of a window has an event inside the parent window (else it
 would be permanent for the parent too), so candidates are enumerated from
 the parent's event set, whose size is what the work bound charges;
 ``WindowCtx.permanent_candidates`` narrows it to the days where such an
-event can lie.
+event can lie, and ``WindowCtx.lifetime_maps`` gives each candidate's
+current insertion and deletion days.  A window reads nothing else of the
+schedule.
 """
 
 from __future__ import annotations

@@ -164,24 +164,31 @@ def _find(uf: dict, x):
     return root
 
 
+def _link(uf: dict, edges) -> list:
+    """Union the endpoints of each ``(w, id, u, v)`` edge in turn in the
+    union-find ``uf``; returns the edges that joined two components, in
+    order."""
+    linked = []
+    for edge in edges:
+        ru, rv = _find(uf, edge[2]), _find(uf, edge[3])
+        if ru != rv:
+            uf[max(ru, rv)] = min(ru, rv)
+            linked.append(edge)
+    return linked
+
+
 def _kruskal(edges):
     """Forest of the minimum spanning forest under the total order (w, id).
     Returns (picked list, weight).  Tie order by id keeps the forest unique
     and diffable against the oracle."""
-    parent: dict = {}
-    picked = []
-    weight = 0
-    for w, eid, u, v in sorted(edges):
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-            picked.append((w, eid, u, v))
-            weight += w
-    return picked, weight
+    picked = _link({}, sorted(edges))
+    return picked, sum(edge[0] for edge in picked)
 
 
 class MsfProblem:
-    """Offline divide-and-conquer MSF (c = 1, up to the sorting log).
+    """Offline divide-and-conquer MSF (c = 1, up to the sorting log): the
+    offline sparsification of Eppstein, "Offline algorithms for dynamic
+    minimum spanning tree problems", J. Algorithms 1994.
 
     Per window, parent edges split into permanents (alive across the whole
     span) and volatiles (an endpoint event inside the span).  Permanents in
@@ -189,31 +196,41 @@ class MsfProblem:
     every spanning forest of the span: contract them.  Permanents outside
     the spanning forest of permanents alone are outside every spanning
     forest: drop them.  Volatiles always pass through to the children.
+
+    The root sorts its edges by (w, id) once.  Filtering and relabelling
+    keep that order, so every pass reads edges sorted, and a window's edge
+    list only merges its two sorted runs, kept permanents and volatiles.
     """
 
     def compute_window(self, ctx: WindowCtx, parent: MsfGraph | None):
         s, e = ctx.start, ctx.end
+        ins_map, del_map, never = ctx.lifetime_maps()
+        ins_get, del_get = ins_map.get, del_map.get
         if parent is None:
             candidates = []
             seen = set()
-            for rec in ctx.events():
-                if rec.element in seen:
+            for rec in ctx.permanent_candidates():
+                el = rec.element
+                if el in seen:
                     continue
-                seen.add(rec.element)
-                payload = ctx.payload(rec.element)
+                seen.add(el)
+                ins = ins_get(el)
+                if ins is None or ins > e or del_get(el, never) < s:
+                    continue  # never alive in the span: no payload needed
+                payload = ctx.payload(el)
                 if len(payload) < 3:
-                    raise ValueError(f"edge {rec.element} has no (u, v, w) payload")
-                u, v, w = payload[0], payload[1], payload[2]
-                candidates.append((w, rec.element, u, v))
+                    raise ValueError(f"edge {el} has no (u, v, w) payload")
+                candidates.append((payload[2], el, payload[0], payload[1]))
+            candidates.sort()
             acc_weight, acc_ids = 0, frozenset()
         else:
-            candidates = list(parent.edges)
+            candidates = parent.edges
             acc_weight, acc_ids = parent.acc_weight, parent.acc_ids
 
         perm, vol = [], []
         for edge in candidates:
-            w, eid, u, v = edge
-            ins, dl = ctx.lifetime(eid)
+            ins = ins_get(edge[1])
+            dl = del_get(edge[1], never)
             # every test below depends only on whether the edge's events fall
             # inside the span, never on their exact days, so a containing
             # window's classification is stable under in-span reschedules
@@ -228,49 +245,37 @@ class MsfProblem:
         cost = m * (1 + ceil(log2(m + 2)))
 
         # contraction test: volatile edges forced present
-        parent_uf: dict = {}
-        for _, _, u, v in vol:
-            ru, rv = _find(parent_uf, u), _find(parent_uf, v)
-            if ru != rv:
-                parent_uf[max(ru, rv)] = min(ru, rv)
-        contracted = []
-        for w, eid, u, v in sorted(perm):
-            ru, rv = _find(parent_uf, u), _find(parent_uf, v)
-            if ru != rv:
-                parent_uf[max(ru, rv)] = min(ru, rv)
-                contracted.append((w, eid, u, v))
-
+        forced: dict = {}
+        _link(forced, vol)
+        contracted = _link(forced, perm)
         # deletion test: permanents alone
-        keep, _ = _kruskal(perm)
-        contracted_ids = {eid for _, eid, _, _ in contracted}
-        residual = [edge for edge in keep if edge[1] not in contracted_ids]
+        contracted_ids = {edge[1] for edge in contracted}
+        residual = [edge for edge in _link({}, perm) if edge[1] not in contracted_ids]
 
-        # rebuild labels under the new contractions
-        con_uf: dict = {}
-        for _, _, u, v in contracted:
-            ru, rv = _find(con_uf, u), _find(con_uf, v)
-            if ru != rv:
-                con_uf[max(ru, rv)] = min(ru, rv)
+        # relabel under the new contractions
+        labels: dict = {}
+        _link(labels, contracted)
         new_edges = []
         for w, eid, u, v in residual + vol:
-            ru, rv = _find(con_uf, u), _find(con_uf, v)
+            ru, rv = _find(labels, u), _find(labels, v)
             if ru != rv:  # self-loops are in no spanning forest
                 new_edges.append((w, eid, ru, rv))
         new_edges.sort()
 
         mem = MsfGraph(
             tuple(new_edges),
-            acc_weight + sum(w for w, _, _, _ in contracted),
-            acc_ids | frozenset(eid for _, eid, _, _ in contracted),
+            acc_weight + sum(edge[0] for edge in contracted),
+            acc_ids | contracted_ids,
         )
         return mem, cost, len(new_edges)
 
     def day_output(self, leaf: MsfGraph, ctx: WindowCtx):
         t = ctx.start
+        ins_map, del_map, never = ctx.lifetime_maps()
         alive = []
         for edge in leaf.edges:
-            ins, dl = ctx.lifetime(edge[1])
-            if ins is not None and ins <= t < dl:
+            ins = ins_map.get(edge[1])
+            if ins is not None and ins <= t < del_map.get(edge[1], never):
                 alive.append(edge)
         picked, weight = _kruskal(alive)
         ids = tuple(sorted(leaf.acc_ids | {eid for _, eid, _, _ in picked}))

@@ -21,7 +21,8 @@ class PartitionTree:
 
     Node arrays: ``start``/``end`` are inclusive day bounds, ``left``/
     ``right``/``parent`` are node ids (-1 for none).  The root is node 0,
-    and a parent's id is smaller than its children's.
+    and a parent's id is smaller than its children's.  ``depth`` is the
+    maximum root-to-leaf edge count.
     """
 
     def __init__(self, T: int, priorities: np.ndarray):
@@ -46,6 +47,7 @@ class PartitionTree:
         self.right = []
         self.parent = []
         self.leaf_of = [0] * (T + 1)  # 1-indexed by day
+        self.depth = 0
 
         def new_node(a: int, b: int, parent: int) -> int:
             nid = len(self.start)
@@ -78,18 +80,22 @@ class PartitionTree:
 
         # Window for divider d over day interval [a, b]: children are the
         # sub-Cartesian-trees on [a, d+1] and [d+2, b] (days are 1-indexed).
-        work = [(croot, 1, T, root)]
+        # Each entry also carries its children's depth; the deepest is the
+        # tree's, since every leaf is some window's child.
+        work = [(croot, 1, T, root, 1)]
         while work:
-            d, a, b, nid = work.pop()
+            d, a, b, nid, depth = work.pop()
+            if depth > self.depth:
+                self.depth = depth
             mid = d + 1  # divider d splits [a, b] into [a, d+1], [d+2, b]
             lid = new_node(a, mid, nid)
             rid = new_node(mid + 1, b, nid)
             self.left[nid] = lid
             self.right[nid] = rid
             if cleft[d] != -1:
-                work.append((cleft[d], a, mid, lid))
+                work.append((cleft[d], a, mid, lid, depth + 1))
             if cright[d] != -1:
-                work.append((cright[d], mid + 1, b, rid))
+                work.append((cright[d], mid + 1, b, rid, depth + 1))
 
     # -- queries ---------------------------------------------------------
 
@@ -111,19 +117,6 @@ class PartitionTree:
             else:
                 break
         return nid
-
-    def depth(self) -> int:
-        """Maximum root-to-leaf edge count."""
-        best = 0
-        stack = [(0, 0)]
-        while stack:
-            nid, d = stack.pop()
-            if self.left[nid] == -1:
-                best = max(best, d)
-            else:
-                stack.append((self.left[nid], d + 1))
-                stack.append((self.right[nid], d + 1))
-        return best
 
     def windows_starting_at(self, day: int) -> list[int]:
         """Windows whose span starts at ``day``, topmost first.  They form a

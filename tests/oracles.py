@@ -2,8 +2,9 @@
 against: batch slot assignment, the minimum-l1 and minimum-linf
 assignments, feasibility and displacement of an assignment, and the
 partition tree's window test straight from divider priorities and a
-window's span, an engine's state in comparable form, and a record of the
-window computes that run after the window's last day."""
+window's span, an element's liveness on a day read from a schedule, an
+engine's state in comparable form, and a record of the window computes
+that run after the window's last day."""
 
 from __future__ import annotations
 
@@ -194,6 +195,13 @@ def smallest_window_size(priorities: np.ndarray, t1: int, t2: int) -> int:
 
 
 # -- engine state -----------------------------------------------------------------
+
+
+def alive_on(schedule, element: str, day: int) -> bool:
+    """Whether ``element`` is active on ``day`` under the schedule's current
+    insertion and deletion days (no deletion day means never deleted)."""
+    ins = schedule.ins_day.get(element)
+    return ins is not None and ins <= day < schedule.del_day.get(element, schedule.T + 1)
 
 
 def engine_state(eng) -> tuple:

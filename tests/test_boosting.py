@@ -25,7 +25,7 @@ class SyntheticAlgorithm:
         self._day = None
         self.steps_taken = 0
 
-    def buffer_event(self, day, event, predicted_deletion_day=None):
+    def buffer_event(self, day, event):
         self._buffer.append(day)
 
     def is_complete(self):
@@ -42,12 +42,23 @@ class SyntheticAlgorithm:
         return self._day
 
 
+class CountingSteppable(SteppableEngine):
+    """SteppableEngine that also counts the steps that spent a unit."""
+
+    steps_taken = 0
+
+    def step(self):
+        if not self.is_complete():
+            self.steps_taken += 1
+        super().step()
+
+
 def counter_instance(T, sigma=5, seed=3):
     return generate_offline_instance("counter", 8, T, ErrorModel("uniform", sigma=sigma), seed)
 
 
-def steppable(T, preds, seed):
-    return SteppableEngine(Engine(lift_incremental(counter_contract()), T, seed), preds)
+def steppable(T, preds, seed, kind=SteppableEngine):
+    return kind(Engine(lift_incremental(counter_contract()), T, seed), preds)
 
 
 def backstop_run(algorithms, stream):
@@ -64,7 +75,7 @@ def step_spread(meta):
 
 def test_single_algorithm_backstop_is_identity():
     inst = counter_instance(64)
-    alone = steppable(64, inst.predictions, 1)
+    alone = steppable(64, inst.predictions, 1, kind=CountingSteppable)
     outs, meta = backstop_run([alone], inst.stream)
     want = oracle_daily_outputs("counter", inst.stream)
     assert outs == want
@@ -86,7 +97,10 @@ def test_fast_slow_pair_meets_theorem_bound():
 def test_two_seeds_identical_outputs():
     inst = counter_instance(128, sigma=9, seed=6)
     outs, meta = backstop_run(
-        [steppable(128, inst.predictions, 1), steppable(128, inst.predictions, 2)],
+        [
+            steppable(128, inst.predictions, 1, kind=CountingSteppable),
+            steppable(128, inst.predictions, 2, kind=CountingSteppable),
+        ],
         inst.stream,
     )
     assert outs == oracle_daily_outputs("counter", inst.stream)
@@ -111,10 +125,10 @@ def test_recompute_backstop_charges_active_set_per_day():
     backstop = SteppableEngine(
         RecomputeBackstop(lambda active: oracle_answer("counter", active, {}))
     )
-    outs, _ = backstop_run([backstop], inst.stream)
+    outs, meta = backstop_run([backstop], inst.stream)
     want = oracle_daily_outputs("counter", inst.stream)
     assert outs == want
-    assert backstop.steps_taken == sum(active + 1 for active in want)
+    assert meta.meta_steps == sum(active + 1 for active in want)
 
 
 def boost_counter(T, seed=0, cap=3, k=1, stream_seed=3, built=None):
@@ -183,7 +197,7 @@ def test_epoch_stats_record_instance_steps():
     built = []
     _, _, epochs = boost_counter(100, built=built)
     assert len(built) == sum(e.L for e in epochs)
-    assert all(instance.steps_taken > 0 for instance in built)
+    assert all(instance.engine.current_day > 0 for instance in built)
 
 
 def test_exact_bundles_cover_each_doubled_horizon():

@@ -154,10 +154,55 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert rc == 2, case
         assert "error:" in capsys.readouterr().err
         assert not caught, case  # rejected, not dropped from a backstop with a warning
+    # a predicted insertion of zz, which the stream never inserts, has no
+    # payload to read: rejected up front, naming the file and the element
+    edge_stream = tmp_path / "edges.stream"
+    edge_stream.write_text("1 a I 0 1 5\n2 b I 1 2 3\n3 a D\n4 c I 0 2 1\n5 d I 2 3 4\n6 b D\n")
+    phantom = tmp_path / "phantom.pred"
+    phantom.write_text("a I 1\nb I 2\na D 3\nc I 4\nd I 5\nzz I 5\n")
+    phantom_bundles = tmp_path / "phantom.bundles"
+    phantom_bundles.write_text(
+        "#bundle 1 1\na I 1\n#bundle 2 1\na I 1\nb I 2\n"
+        "#bundle 3 1\na I 1\nb I 2\na D 3\nzz I 5\n"
+    )
+    phantom_cases = [
+        *(
+            (problem, ["--pred", str(phantom), "--mode", mode])
+            for problem in ("connectivity", "msf")
+            for mode in ("predicted", "backstopped")
+        ),
+        *(
+            (problem, ["--bundles", str(phantom_bundles), "--mode", "boosted"])
+            for problem in ("connectivity", "msf")
+        ),
+    ]
+    for problem, case in phantom_cases:
+        rc = main(["run", "--problem", problem, "--stream", str(edge_stream), *case, "--seed", "1"])
+        assert rc == 2, (problem, case)
+        err = capsys.readouterr().err
+        assert case[1] in err and "zz" in err, (problem, case)
+    # the counter reads no payload, so the same predictions run
+    for case in (["--pred", str(phantom)], ["--bundles", str(phantom_bundles), "--mode", "boosted"]):
+        rc = main(["run", "--problem", "counter", "--stream", str(edge_stream), *case])
+        assert rc == 0, case
+        capsys.readouterr()
     out = tmp_path / "bench.csv"
     assert main(["bench", "--seeds", "0", "--T", "16", "--out", str(out)]) == 2
     assert "--seeds" in capsys.readouterr().err
     assert not out.exists()  # rejected before the output file is opened
+
+
+def test_msf_predicted_deletion_of_never_inserted_edge(tmp_path, capsys):
+    """A prediction that deletes an edge the stream never inserts holds no
+    payload the run needs: it is ignored, and the outputs are the stream's."""
+    stream = tmp_path / "msf.stream"
+    stream.write_text("1 a I 0 1 5\n2 b I 1 2 3\n3 a D\n4 c I 0 2 1\n")
+    pred = tmp_path / "msf.pred"
+    pred.write_text("a I 1\nb I 2\na D 3\nc I 4\nzz D 3\n")
+    rc = main(["run", "--problem", "msf", "--stream", str(stream), "--pred", str(pred)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["1 5 a", "2 8 a,b", "3 3 b", "4 4 b,c"]
 
 
 def test_boosted_rejects_invalid_bundle_chain(tmp_path, capsys):

@@ -3,7 +3,7 @@ out-of-set insertions, output exactness."""
 
 import pytest
 
-from oracles import engine_state
+from oracles import alive_on, engine_state
 from predlift.decremental import DecrementalRun
 from predlift.engine import ScheduleBug
 from predlift.model import DELETE, INSERT, Event
@@ -66,12 +66,8 @@ def test_out_of_set_insertion_triggers_one_reinit_and_full_retrigger():
 def anti_alive(run):
     """Elements whose current anti-instance is alive on the processed day."""
     t = run.engine.current_day
-    out = set()
-    for el in run.ground:
-        ins, dl = run.engine.schedule.lifetime(f"{el}~{run.generation[el]}")
-        if ins is not None and ins <= t < dl:
-            out.add(el)
-    return out
+    sched = run.engine.schedule
+    return {el for el in run.ground if alive_on(sched, f"{el}~{run.generation[el]}", t)}
 
 
 def test_view_duality_every_day():

@@ -4,7 +4,7 @@ insertions carrying predicted deletion days)."""
 
 import random
 
-from oracles import span
+from oracles import alive_on, span
 from predlift.engine import Engine, WindowCtx, drain, run_predicted
 from predlift.incremental import lift_incremental, window_permanents
 from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
@@ -63,13 +63,7 @@ def test_partition_property_every_day():
                 perms = window_permanents(WindowCtx(eng, nid))
                 union.update(perms)
                 total += len(perms)
-            active = {
-                el
-                for el in {e.element for e in eng.schedule.all_records()}
-                if (lambda l: l[0] is not None and l[0] <= day < l[1])(
-                    eng.schedule.lifetime(el)
-                )
-            }
+            active = {el for el, _ in eng.schedule.by_key if alive_on(eng.schedule, el, day)}
             assert union == active
             assert total == len(union)
 
@@ -89,7 +83,8 @@ def test_permanents_bounded_by_sibling_event_count():
             if parent == -1:
                 continue
             sib = tree.right[parent] if tree.left[parent] == nid else tree.left[parent]
-            sib_events = len(eng.schedule.events_in(*span(tree, sib)))
+            lo, hi = span(tree, sib)
+            sib_events = sum(len(eng.schedule.days[d]) for d in range(lo, hi + 1))
             first_day_events = len(eng.schedule.days[tree.start[nid]])
             assert len(window_permanents(WindowCtx(eng, nid))) <= sib_events + first_day_events
             checked += 1

@@ -1,7 +1,8 @@
 """Every function, class and method the library defines is reached by name
 from the library itself or from the benchmark under ``perfbench/``.  A name
 only tests reach belongs in ``tests/`` (see ``tests/oracles.py``), not in the
-library.
+library.  And every name a library module imports is used in that module, so
+a deletion leaves no import behind.
 
 References are names, attribute names and identifier-like string constants
 (the benchmark's tracer patches methods by their name as a string).  The
@@ -51,3 +52,25 @@ def test_no_library_name_is_reached_only_by_tests():
         used |= referenced_names(parse(path))
     unused = sorted(f"{defined[name]}:{name}" for name in defined.keys() - used)
     assert not unused, f"library names no library or benchmark code reaches: {unused}"
+
+
+def imported_names(tree: ast.AST) -> set[str]:
+    """Names the module's imports bind, ``__future__`` features aside."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out |= {alias.asname or alias.name for alias in node.names}
+    return out
+
+
+def test_every_library_import_is_used():
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # re-exporting is what its imports are for
+        tree = parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in sorted(imported_names(tree) - used)]
+    assert not unused, f"library imports their module never uses: {unused}"

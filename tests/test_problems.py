@@ -6,10 +6,10 @@ from collections import Counter
 
 import pytest
 
-from oracles import span
+from oracles import alive_on, span
 from predlift.engine import Engine, WindowCtx, drain, run_predicted
 from predlift.incremental import lift_incremental
-from predlift.model import DELETE, INSERT, Event
+from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
 from predlift.problems import (
     MsfGraph,
     _kruskal,
@@ -99,23 +99,25 @@ def test_all_contracts_clone_isolation():
 
 
 class _StubCtx:
-    """Minimal WindowCtx stand-in for direct MSF window tests."""
+    """Minimal WindowCtx stand-in for direct MSF window tests; ``lifetimes``
+    maps an element to (insertion day or None, deletion day)."""
 
-    def __init__(self, span, events, lifetimes, payloads, parent_span=None):
+    def __init__(self, span, records, lifetimes, payloads, parent_span=None):
         self.start, self.end = span
-        self._events = events
-        self._lifetimes = lifetimes
+        self._records = records
+        self._ins = {el: ins for el, (ins, _) in lifetimes.items() if ins is not None}
+        self._del = {el: dl for el, (_, dl) in lifetimes.items()}
         self._payloads = payloads
         self._parent_span = parent_span
 
     def parent_span(self):
         return self._parent_span
 
-    def events(self):
-        return self._events
+    def permanent_candidates(self):
+        return self._records
 
-    def lifetime(self, el):
-        return self._lifetimes[el]
+    def lifetime_maps(self):
+        return self._ins, self._del, END_OF_HORIZON
 
     def payload(self, el):
         return self._payloads.get(el, ())
@@ -178,11 +180,7 @@ def test_msf_window_sparsifier_soundness():
     drain(eng.ingest_predictions(inst.predictions))
 
     def msf_weight_at(mem, day):
-        alive = []
-        for edge in mem.edges:
-            ins, dl = eng.schedule.lifetime(edge[1])
-            if ins is not None and ins <= day < dl:
-                alive.append(edge)
+        alive = [edge for edge in mem.edges if alive_on(eng.schedule, edge[1], day)]
         _, w = _kruskal(alive)
         return w + mem.acc_weight
 

@@ -15,7 +15,7 @@ def all_spans(t: PartitionTree) -> set[tuple[int, int]]:
 def test_single_day():
     t = PartitionTree.build(1, seed=0)
     assert span(t, 0) == (1, 1)
-    assert t.depth() == 0
+    assert t.depth == 0
     assert t.smallest_window(1, 1) == 0
 
 
@@ -23,7 +23,20 @@ def test_two_days():
     t = PartitionTree.build(2, seed=0)
     assert span(t, 0) == (1, 2)
     assert all_spans(t) == {(1, 2), (1, 1), (2, 2)}
-    assert t.depth() == 1
+    assert t.depth == 1
+
+
+def test_recorded_depth_is_longest_parent_chain():
+    for T in range(1, 65):
+        for seed in range(4):
+            t = PartitionTree.build(T, seed=seed)
+            longest = 0
+            for day in range(1, T + 1):
+                nid, edges = t.leaf_of[day], 0
+                while t.parent[nid] != -1:
+                    nid, edges = t.parent[nid], edges + 1
+                longest = max(longest, edges)
+            assert t.depth == longest, (T, seed)
 
 
 def test_figure_priorities_T6():
