@@ -132,9 +132,15 @@ def _run_offline_problem(args, stream):
     elif args.mode == "backstopped":
         eng = Engine(problem, T, args.seed, payload_registry=registry)
         backstop = RecomputeBackstop(lambda active: oracle_answer(args.problem, active, registry))
-        meta = Backstop([SteppableEngine(eng, predictions), SteppableEngine(backstop)])
+        stepped = SteppableEngine(eng, predictions)
+        meta = Backstop([stepped, SteppableEngine(backstop)])
         for day, ev in stream:
             meta.feed(day, ev)
+        # the backstop may answer every day before the engine has run one:
+        # finish the engine, so its counters cover every day and a fault in
+        # its remaining work is raised
+        while not stepped.is_complete():
+            stepped.step()
         return meta.outputs, eng.counters
     else:  # boosted
         if not args.bundles:
@@ -173,6 +179,11 @@ def _dispatch_run(args):
     online = args.problem == "decmax" or args.dstream
     if online and args.mode not in ("predicted", "brute-force"):
         raise FileUsage(f"--mode {args.mode} needs a --stream input")
+    # a flag the run would never read is an error, not silently ignored
+    if args.pred and (online or args.mode not in ("predicted", "backstopped")):
+        raise FileUsage("--pred is read only with --stream in --mode predicted or backstopped")
+    if args.bundles and args.mode != "boosted":
+        raise FileUsage("--bundles is read only by --mode boosted")
     if args.problem == "decmax" and not args.instance:
         raise FileUsage("decmax needs --instance")
     path = args.instance if args.problem == "decmax" else args.dstream or args.stream

@@ -130,10 +130,9 @@ class Schedule:
 
 
 class WindowCtx:
-    """What a window's computation may look at: its span ``start``..``end``
-    and its parent's span, the records it may scan (``permanent_candidates``:
-    the whole schedule at the root, else the slice of the parent's event set
-    where a permanent element has an event), current element lifetimes
+    """What a window's computation may look at: its span ``start``..``end``,
+    the records that can make an element permanent for it
+    (``permanent_candidates``), current element lifetimes
     (``lifetime_maps``), and element payloads."""
 
     __slots__ = ("_engine", "nid", "start", "end")
@@ -144,29 +143,27 @@ class WindowCtx:
         self.start = engine.tree.start[nid]
         self.end = engine.tree.end[nid]
 
-    def parent_span(self) -> tuple[int, int] | None:
-        p = self._engine.tree.parent[self.nid]
-        if p == -1:
-            return None
-        return (self._engine.tree.start[p], self._engine.tree.end[p])
-
     def permanent_candidates(self):
-        """The slice of the parent's update set where a permanent element
-        must have an event: an element alive across this window but not
-        across the parent either gained life inside (parent start, own
-        start] or loses it inside (own end, parent end], and those ranges
-        lie in the sibling window plus this window's first day.  The root
-        has no parent: its candidates are every record of the schedule."""
-        parent = self.parent_span()
-        if parent is None:
-            return self._engine.schedule.by_key.values()
-        ps, pe = parent
-        if self.start == ps:
-            lo, hi = self.end + 1, pe
+        """Records among which every permanent element of this window has
+        exactly one: the event that keeps it from being permanent for the
+        parent.  An element alive across this window but not across its
+        parent dies inside (own end, parent end] when this is a left child
+        (one sharing the parent's first day), and is born inside (parent
+        start, own start] otherwise.  So a left child gets the DELETE
+        records on days end+1 .. parent end, and any other window the
+        INSERT records on days parent start+1 .. start; the root gets days
+        0 .. 1, day 0 holding the pre-horizon insertions.  Each element has
+        at most one record of each kind, so none repeats."""
+        tree = self._engine.tree
+        p = tree.parent[self.nid]
+        if p == -1:
+            kind, lo, hi = INSERT, 0, self.start
+        elif tree.start[p] == self.start:
+            kind, lo, hi = DELETE, self.end + 1, tree.end[p]
         else:
-            lo, hi = ps + 1, self.start
+            kind, lo, hi = INSERT, tree.start[p] + 1, self.start
         days = self._engine.schedule.days
-        return (rec for d in range(lo, hi + 1) for rec in days[d])
+        return (rec for d in range(lo, hi + 1) for rec in days[d] if rec.kind == kind)
 
     def lifetime_maps(self) -> tuple[dict[str, int], dict[str, int], int]:
         """(insertion days, deletion days, day meaning never-deleted).  An

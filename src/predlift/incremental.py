@@ -12,13 +12,13 @@ dually, the windows containing a day partition the elements active on that
 day.  A window's computation therefore just clones the parent state and
 inserts the window's permanents, giving work update(A) per element.
 
-Every permanent of a window has an event inside the parent window (else it
-would be permanent for the parent too), so candidates are enumerated from
-the parent's event set, whose size is what the work bound charges;
-``WindowCtx.permanent_candidates`` narrows it to the days where such an
-event can lie, and ``WindowCtx.lifetime_maps`` gives each candidate's
-current insertion and deletion days.  A window reads nothing else of the
-schedule.
+Each permanent of a window has exactly one event that rules out the
+parent: for a left child, its deletion inside the sibling; for any other
+window, its insertion inside (parent start, own start], which for the root
+means on day 0 or 1.  ``WindowCtx.permanent_candidates`` yields just those
+records, and a candidate is permanent exactly when its element is alive
+across the window by ``WindowCtx.lifetime_maps``.  A window reads nothing
+else of the schedule.
 """
 
 from __future__ import annotations
@@ -49,30 +49,18 @@ class IncrementalContract(Protocol):
 
 
 def window_permanents(ctx: WindowCtx) -> list[str]:
-    """Elements permanent for the window of ``ctx``, sorted: alive across
-    all of it, but not across all of the parent.  Candidates come from
-    ``ctx.permanent_candidates()``; this scan runs for every window
-    recompute."""
+    """Elements permanent for the window of ``ctx``, sorted: those of
+    ``ctx.permanent_candidates()`` alive across the whole window.  This
+    scan runs for every window recompute."""
     s, e = ctx.start, ctx.end
     ins_map, del_map, never = ctx.lifetime_maps()
     ins_get, del_get = ins_map.get, del_map.get
-    pspan = ctx.parent_span()
-    seen: set[str] = set()
-    out: list[str] = []
+    out = []
     for rec in ctx.permanent_candidates():
         el = rec.element
-        if el in seen:
-            continue
-        seen.add(el)
-        ins = ins_get(el)
-        if ins is None or ins > s:
-            continue
-        dl = del_get(el, never)
-        if dl <= e:
-            continue
-        if pspan is not None and ins <= pspan[0] and dl > pspan[1]:
-            continue  # an ancestor already carries it
-        out.append(el)
+        # an element never inserted reads as inserted after every window
+        if ins_get(el, never) <= s and del_get(el, never) > e:
+            out.append(el)
     out.sort()
     return out
 

@@ -208,14 +208,8 @@ class MsfProblem:
         ins_get, del_get = ins_map.get, del_map.get
         if parent is None:
             candidates = []
-            seen = set()
-            for rec in ctx.permanent_candidates():
-                el = rec.element
-                if el in seen:
-                    continue
-                seen.add(el)
-                ins = ins_get(el)
-                if ins is None or ins > e or del_get(el, never) < s:
+            for el, ins in ins_map.items():
+                if ins > e or del_get(el, never) < s:
                     continue  # never alive in the span: no payload needed
                 payload = ctx.payload(el)
                 if len(payload) < 3:

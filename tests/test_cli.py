@@ -45,8 +45,8 @@ def test_modes_agree_on_outputs(tmp_path, capsys):
 
     def day_lines(mode, extra=()):
         rc = main(
-            ["run", "--problem", "msf", "--pred", f"{out}.pred",
-             "--stream", f"{out}.stream", "--mode", mode, "--seed", "2", *extra]
+            ["run", "--problem", "msf", "--stream", f"{out}.stream", "--mode", mode,
+             "--seed", "2", *extra]
         )
         assert rc == 0
         return [
@@ -54,12 +54,33 @@ def test_modes_agree_on_outputs(tmp_path, capsys):
             if l and l[0].isdigit()
         ]
 
-    predicted = day_lines("predicted")
+    pred = ("--pred", f"{out}.pred")
+    predicted = day_lines("predicted", extra=pred)
     assert day_lines("offline") == predicted
     assert day_lines("brute-force") == predicted
-    assert day_lines("backstopped") == predicted
+    assert day_lines("backstopped", extra=pred) == predicted
     boosted = day_lines("boosted", extra=("--bundles", f"{out}.bundles", "--instances-cap", "2"))
     assert boosted == predicted
+
+
+def test_backstopped_counters_cover_every_day(tmp_path, capsys):
+    """The backstop can answer every day before the engine runs one; the
+    engine is then finished, so ``#counters`` covers all T days."""
+    out = gen(tmp_path, problem="msf", sigma="4", T="64")
+    capsys.readouterr()
+
+    def run(mode):
+        rc = main(
+            ["run", "--problem", "msf", "--stream", f"{out}.stream", "--pred", f"{out}.pred",
+             "--mode", mode, "--seed", "2"]
+        )
+        assert rc == 0
+        days, counters = capsys.readouterr().out.split("#counters\n")
+        return days, counters
+
+    days, counters = run("backstopped")
+    assert "day_overhead=64" in counters.splitlines()
+    assert (days, counters) == run("predicted")
 
 
 def test_verify_decmax_instance(tmp_path, capsys):
@@ -121,6 +142,10 @@ def test_input_error_exit_code(tmp_path, capsys):
     extra_never.write_text("S a 1 5\n1 I a 5\n2 I b 6\n3 D a never extra\n")
     late_s = tmp_path / "late.inst"
     late_s.write_text("S a 1 5\n1 I a 5\nS c 3 7\n2 D a never\n")
+    two_edges = tmp_path / "edge.stream"
+    two_edges.write_text("1 a I 0 1\n2 b I 1 2\n")
+    unread_pred = tmp_path / "unread.pred"
+    unread_pred.write_text("a I 1\nb I 2\nzz I 5\n")  # zz is never inserted
     cases = [
         ["--problem", "counter", "--stream", str(bad)],
         *(
@@ -146,6 +171,11 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["--problem", "counter", "--dstream", str(junk_delete)],
         ["--problem", "decmax", "--instance", str(extra_never)],
         ["--problem", "decmax", "--instance", str(late_s)],
+        # a flag the mode never reads is rejected, not ignored
+        ["--problem", "connectivity", "--stream", str(two_edges), "--mode", "offline",
+         "--pred", str(unread_pred)],
+        ["--problem", "counter", "--stream", str(two_edges), "--mode", "predicted",
+         "--bundles", str(tmp_path / "nonexistent")],
     ]
     for case in cases:
         with warnings.catch_warnings(record=True) as caught:

@@ -5,17 +5,20 @@ insertions carrying predicted deletion days)."""
 import random
 
 from oracles import alive_on, span
+from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, WindowCtx, drain, run_predicted
 from predlift.incremental import lift_incremental, window_permanents
 from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
 from predlift.problems import (
     connectivity_contract,
     counter_contract,
+    decremental_max_contract,
     oracle_daily_outputs,
 )
 from predlift.streamgen import (
     ErrorModel,
     generate_deletion_predicted_stream,
+    generate_insertion_predicted_instance,
     generate_offline_instance,
 )
 
@@ -51,28 +54,57 @@ def test_same_day_lifetime_is_permanent_nowhere():
         assert "blip" not in window_permanents(WindowCtx(eng, nid))
 
 
+def assert_partition(eng):
+    """On every day t, the union of permanents over the chain of windows
+    containing t is the set of elements active on t, none counted twice."""
+    elements = {el for el, _ in eng.schedule.by_key}
+    for day in range(1, eng.T + 1):
+        union, total = set(), 0
+        for nid in chain_windows(eng.tree, day):
+            perms = window_permanents(WindowCtx(eng, nid))
+            union.update(perms)
+            total += len(perms)
+        assert union == {el for el in elements if alive_on(eng.schedule, el, day)}
+        assert total == len(union)
+
+
 def test_partition_property_every_day():
-    """Union of permanents over the chain of windows containing day t equals
-    the set of elements active on day t, with no element counted twice."""
+    """Checked on engines that ingested predictions, after their last day;
+    and after each day on an engine given none, fed predicted deletions,
+    and on a decremental run's engine, whose day-0 preloads (some admitted
+    out of the predicted set mid-run) are root candidates."""
     for seed in range(15):
         inst = generate_offline_instance("counter", 8, 48, ErrorModel("uniform", sigma=7), seed)
-        eng = build_engine(inst, seed=seed + 50)
-        for day in range(1, inst.T + 1):
-            union, total = set(), 0
-            for nid in chain_windows(eng.tree, day):
-                perms = window_permanents(WindowCtx(eng, nid))
-                union.update(perms)
-                total += len(perms)
-            active = {el for el, _ in eng.schedule.by_key if alive_on(eng.schedule, el, day)}
-            assert union == active
-            assert total == len(union)
+        assert_partition(build_engine(inst, seed=seed + 50))
+    for seed in range(3):
+        items, _, _ = generate_deletion_predicted_stream(
+            "counter", 8, 32, ErrorModel("uniform", sigma=7), seed
+        )
+        eng = Engine(lift_incremental(counter_contract()), len(items), seed)
+        for day, ev, pred in items:
+            drain(eng.process_day(day, ev, predicted_deletion_day=pred))
+            assert_partition(eng)
+    admitted = 0
+    for seed in range(4):
+        # 16 predicted insertions in 32 days: some predicted deletions of
+        # day-0 anti-elements land past the horizon, making them root
+        # permanents, and the other days admit elements out of the set
+        predicted_set, items, _ = generate_insertion_predicted_instance(
+            16, 32, ErrorModel("uniform", sigma=4), seed
+        )
+        run = DecrementalRun(decremental_max_contract(), predicted_set, len(items), seed)
+        for day, ev, reins in items:
+            run.process_day(day, ev, reins)
+            assert_partition(run.engine)
+        admitted += run.out_of_set_inserts
+    assert admitted > 0
 
 
 def test_permanents_bounded_by_sibling_event_count():
-    """Every permanent of a window has an event in the sibling window or on
-    the window's own first day (an element inserted exactly there is
-    permanent without touching the sibling), so the count is bounded by
-    those two event sets together."""
+    """A left child's permanents each die inside its sibling, and any other
+    window's are each born inside (parent start, own start], so the count is
+    bounded by the DELETE records of the sibling or by the INSERT records
+    of those days."""
     checked = 0
     for seed in range(20):
         inst = generate_offline_instance("counter", 8, 64, ErrorModel("uniform", sigma=9), seed)
@@ -82,11 +114,14 @@ def test_permanents_bounded_by_sibling_event_count():
             parent = tree.parent[nid]
             if parent == -1:
                 continue
-            sib = tree.right[parent] if tree.left[parent] == nid else tree.left[parent]
-            lo, hi = span(tree, sib)
-            sib_events = sum(len(eng.schedule.days[d]) for d in range(lo, hi + 1))
-            first_day_events = len(eng.schedule.days[tree.start[nid]])
-            assert len(window_permanents(WindowCtx(eng, nid))) <= sib_events + first_day_events
+            if tree.left[parent] == nid:
+                kind, (lo, hi) = DELETE, span(tree, tree.right[parent])
+            else:
+                kind, lo, hi = INSERT, tree.start[parent] + 1, tree.start[nid]
+            events = sum(
+                rec.kind == kind for d in range(lo, hi + 1) for rec in eng.schedule.days[d]
+            )
+            assert len(window_permanents(WindowCtx(eng, nid))) <= events
             checked += 1
     assert checked > 1000
 

@@ -102,19 +102,11 @@ class _StubCtx:
     """Minimal WindowCtx stand-in for direct MSF window tests; ``lifetimes``
     maps an element to (insertion day or None, deletion day)."""
 
-    def __init__(self, span, records, lifetimes, payloads, parent_span=None):
+    def __init__(self, span, lifetimes, payloads):
         self.start, self.end = span
-        self._records = records
         self._ins = {el: ins for el, (ins, _) in lifetimes.items() if ins is not None}
         self._del = {el: dl for el, (_, dl) in lifetimes.items()}
         self._payloads = payloads
-        self._parent_span = parent_span
-
-    def parent_span(self):
-        return self._parent_span
-
-    def permanent_candidates(self):
-        return self._records
 
     def lifetime_maps(self):
         return self._ins, self._del, END_OF_HORIZON
@@ -136,13 +128,7 @@ def test_msf_triangle_all_permanent_contracts_light_edges():
         0,
         frozenset(),
     )
-    ctx = _StubCtx(
-        (4, 6),
-        [],
-        {"ab": (1, 10), "bc": (1, 10), "ac": (1, 10)},
-        {},
-        parent_span=(1, 8),
-    )
+    ctx = _StubCtx((4, 6), {"ab": (1, 10), "bc": (1, 10), "ac": (1, 10)}, {})
     mem, _, _ = prob.compute_window(ctx, parent)
     assert mem.edges == ()
     assert mem.acc_weight == 3
@@ -152,7 +138,7 @@ def test_msf_triangle_all_permanent_contracts_light_edges():
 def test_msf_single_volatile_edge_passes_through():
     prob = msf_problem()
     parent = MsfGraph(((7, "uv", 0, 1),), 0, frozenset())
-    ctx = _StubCtx((3, 5), [], {"uv": (4, 9)}, {}, parent_span=(1, 8))
+    ctx = _StubCtx((3, 5), {"uv": (4, 9)}, {})
     mem, _, _ = prob.compute_window(ctx, parent)
     assert mem.edges == ((7, "uv", 0, 1),)
     assert mem.acc_weight == 0
