@@ -184,6 +184,11 @@ def _dispatch_run(args):
         raise FileUsage("--pred is read only with --stream in --mode predicted or backstopped")
     if args.bundles and args.mode != "boosted":
         raise FileUsage("--bundles is read only by --mode boosted")
+    given = [flag for flag in ("instance", "dstream", "stream") if getattr(args, flag)]
+    if len(given) > 1:
+        raise FileUsage(f"give one input, not --{' and --'.join(given)}")
+    if args.instance and args.problem != "decmax":
+        raise FileUsage("--instance is read only by --problem decmax")
     if args.problem == "decmax" and not args.instance:
         raise FileUsage("decmax needs --instance")
     path = args.instance if args.problem == "decmax" else args.dstream or args.stream

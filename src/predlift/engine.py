@@ -8,14 +8,16 @@ pushed past the horizon, outside every window of the tree.  Exactly one
 real event arrives per day in [1, T].
 
 When a real event lands earlier than its prediction, the prediction is
-pulled back to the real day and the subtree under the smallest window
-containing both days is recomputed.  When a predicted event fails to
-materialize on its day, it is pushed 2^i days ahead (doubling with each
-miss) and the covering subtree is recomputed.  Either way the recomputation
-never touches windows whose unordered event set is unchanged, which is what
-ties total work to the l1 prediction error.  Nor does it touch a window
-whose last day has passed: a day's answer is read from its own leaf, so such
-a window keeps its last memory but is never recomputed or read again.
+pulled back to the real day; when a predicted event fails to materialize on
+its day, it is pushed 2^i days ahead (doubling with each miss).  Either move
+can change only the windows below the smallest window containing both of
+its days, so each move yields that span of days.  Once a day has moved its
+records, one repair walk recomputes every window below the spans' covering
+windows, each at most once and after its parent.  The walk never touches
+windows whose unordered event set is unchanged, which is what ties total
+work to the l1 prediction error.  Nor does it touch a window whose last day
+has passed: a day's answer is read from its own leaf, so such a window
+keeps its last memory but is never recomputed or read again.
 
 All long-running entry points are generators that yield work-unit counts,
 so an engine can be driven to completion in a tight loop or preempted after
@@ -25,8 +27,8 @@ any single unit (see the boosting module).
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Any, Iterator
 
 from .incremental import LiftedIncremental
@@ -133,17 +135,29 @@ class WindowCtx:
     """What a window's computation may look at: its span ``start``..``end``,
     the records that can make an element permanent for it
     (``permanent_candidates``), current element lifetimes
-    (``lifetime_maps``), and element payloads."""
+    (``lifetime_maps``), and element payloads.  A context holds only what
+    the tree fixes and the engine's schedule, so the engine builds one per
+    window and keeps it.  It does not refer to the engine, so a kept
+    context makes no reference cycle and a dropped engine (an old epoch's
+    in ``boost_run``) is freed at once, not later by the cyclic collector
+    inside some day's update."""
 
-    __slots__ = ("_engine", "nid", "start", "end")
+    __slots__ = ("_schedule", "start", "end", "_kind", "_lo", "_hi")
 
     def __init__(self, engine: "Engine", nid: int):
-        self._engine = engine
-        self.nid = nid
-        self.start = engine.tree.start[nid]
-        self.end = engine.tree.end[nid]
+        tree = engine.tree
+        self._schedule = engine.schedule
+        self.start = tree.start[nid]
+        self.end = tree.end[nid]
+        p = tree.parent[nid]
+        if p == -1:
+            self._kind, self._lo, self._hi = INSERT, 0, self.start
+        elif tree.start[p] == self.start:
+            self._kind, self._lo, self._hi = DELETE, self.end + 1, tree.end[p]
+        else:
+            self._kind, self._lo, self._hi = INSERT, tree.start[p] + 1, self.start
 
-    def permanent_candidates(self):
+    def permanent_candidates(self) -> list[Rec]:
         """Records among which every permanent element of this window has
         exactly one: the event that keeps it from being permanent for the
         parent.  An element alive across this window but not across its
@@ -154,26 +168,19 @@ class WindowCtx:
         INSERT records on days parent start+1 .. start; the root gets days
         0 .. 1, day 0 holding the pre-horizon insertions.  Each element has
         at most one record of each kind, so none repeats."""
-        tree = self._engine.tree
-        p = tree.parent[self.nid]
-        if p == -1:
-            kind, lo, hi = INSERT, 0, self.start
-        elif tree.start[p] == self.start:
-            kind, lo, hi = DELETE, self.end + 1, tree.end[p]
-        else:
-            kind, lo, hi = INSERT, tree.start[p] + 1, self.start
-        days = self._engine.schedule.days
-        return (rec for d in range(lo, hi + 1) for rec in days[d] if rec.kind == kind)
+        kind = self._kind
+        days = self._schedule.days[self._lo : self._hi + 1]
+        return [rec for recs in days for rec in recs if rec.kind == kind]
 
     def lifetime_maps(self) -> tuple[dict[str, int], dict[str, int], int]:
         """(insertion days, deletion days, day meaning never-deleted).  An
         element is active on day t iff it has an insertion day ins and
         ins <= t < its deletion day, which defaults to the third value."""
-        sched = self._engine.schedule
+        sched = self._schedule
         return sched.ins_day, sched.del_day, sched.T + 1
 
     def payload(self, element: str) -> tuple:
-        return self._engine.schedule.payloads.get(element, ())
+        return self._schedule.payloads.get(element, ())
 
 
 class Engine:
@@ -190,9 +197,10 @@ class Engine:
     ``lifetime_maps``.
 
     ``memory[nid]`` holds a window's computed memory, or None while the
-    window is not live.  A window is live from its first compute on, and
-    only live windows whose last day has not passed are recomputed; an
-    ended window keeps its last memory, which nothing reads.  Ingesting
+    window is not live, and ``contexts[nid]`` the window's ``WindowCtx``,
+    built at its first compute.  A window is live from its first compute
+    on, and only live windows whose last day has not passed are recomputed;
+    an ended window keeps its last memory, which nothing reads.  Ingesting
     predictions computes the whole tree; in an engine given none, each
     window goes live on its start day.  Insertions that arrive carrying a
     predicted deletion day (the deletion-predicted and decremental
@@ -216,6 +224,7 @@ class Engine:
         self.tree = PartitionTree.build(T, seed ^ 0x5EED)
         self.counters.depth = self.tree.depth
         self.memory: list[Any] = [None] * self.tree.n_nodes()
+        self.contexts: list[WindowCtx | None] = [None] * self.tree.n_nodes()
         self._rng = random.Random(seed)
         self._slotline = SlotLine(T)
         self.current_day = 0
@@ -271,9 +280,12 @@ class Engine:
     # -- recomputation ------------------------------------------------------
 
     def _recompute(self, nid: int, bucket: str) -> int:
+        ctx = self.contexts[nid]
+        if ctx is None:
+            ctx = self.contexts[nid] = WindowCtx(self, nid)
         parent = self.tree.parent[nid]
         pmem = self.memory[parent] if parent != -1 else None
-        mem, compute_units, clone_units = self.problem.compute_window(WindowCtx(self, nid), pmem)
+        mem, compute_units, clone_units = self.problem.compute_window(ctx, pmem)
         self.memory[nid] = mem
         units = compute_units + clone_units
         self.counters.window_compute_units += compute_units
@@ -284,57 +296,69 @@ class Engine:
             self.counters.retrigger_units += units
         return max(1, units)
 
-    def retrigger(self, t1: int, t2: int, widen: bool = False) -> Iterator[int]:
-        """Recompute every live descendant of the smallest window holding
-        both days whose last day has not passed, children before
-        grandchildren so each recomputation reads a fresh parent memory.
-        A window that ended before today keeps its last memory but is never
-        read again, and nor is anything below it, so the walk stops there.
+    def retrigger(self, spans: list[tuple[int, int]]) -> Iterator[int]:
+        """Repair the windows a day's moved records can have changed: each
+        ``(lo, hi)`` span of days charges one retrigger call, and then every
+        live descendant of the smallest window holding a span's two days
+        whose last day has not passed is recomputed once, in node-id order.
+        A parent's id is smaller than its children's, so every window reads
+        its parent's fresh memory, and a window below several spans is
+        recomputed once however many of them reach it.  A window that ended
+        before today keeps its last memory but is never read again, and nor
+        is anything below it, so the walk stops there.
 
-        ``widen`` is set when the moved record is an insertion: a window
-        starting exactly at the lower day tests "inserted on or before my
-        first day" against the moved record, so its own computation can
-        change even though its unordered event set did not.  Covering one
-        day further left makes every such window a strict descendant of the
-        recomputed root.  (Deletion moves cannot flip a containing window's
-        tests: both days stay inside its span, hence at or before its end.)
-
-        An endpoint outside ``[1, T]`` means the event left or entered the
-        tree entirely, which invalidates the root as well: recompute it and
-        every live window below it."""
-        self.counters.retrigger_calls += 1
-        yield 1
-        lo, hi = min(t1, t2), max(t1, t2)
-        if widen:
-            lo -= 1
+        A span leaving ``[1, T]`` means the event left or entered the tree
+        entirely, which invalidates the root as well: the walk starts at the
+        root and covers every live window below it."""
         tree = self.tree
-        if hi > self.T or lo < 1:
-            queue = deque([0])
-        else:
-            top = tree.smallest_window(lo, hi)
-            queue = deque([tree.left[top], tree.right[top]])
-        while queue:
-            nid = queue.popleft()
-            # below a window not yet live or already ended, every window is too
-            if nid == -1 or self.memory[nid] is None or tree.end[nid] < self.current_day:
+        heap = []
+        for lo, hi in spans:
+            self.counters.retrigger_calls += 1
+            yield 1
+            if hi > self.T or lo < 1:
+                heap.append(0)
+            else:
+                top = tree.smallest_window(lo, hi)
+                if tree.left[top] != -1:
+                    heap += (tree.left[top], tree.right[top])
+        heapify(heap)
+        last = None
+        while heap:
+            nid = heappop(heap)
+            # a window several spans reach pops once for each, in a row; below
+            # a window not yet live or already ended, every window is too
+            if nid == last or self.memory[nid] is None or tree.end[nid] < self.current_day:
                 continue
+            last = nid
             yield self._recompute(nid, bucket="retrigger")
-            queue.extend((tree.left[nid], tree.right[nid]))
+            if tree.left[nid] != -1:
+                heappush(heap, tree.left[nid])
+                heappush(heap, tree.right[nid])
 
     # -- handlers ------------------------------------------------------------
 
-    def process_event_earlier(self, rec: Rec, t: int) -> Iterator[int]:
+    def process_event_earlier(self, rec: Rec, t: int) -> tuple[int, int]:
         """Real event on day t ahead of its prediction: pull the record back
-        to t as a real event and repair the covering subtree."""
+        to t as a real event.  Returns the span of days to repair.
+
+        The span runs one day further left when the moved record is an
+        insertion: a window starting exactly at t tests "inserted on or
+        before my first day" against the moved record, so its own
+        computation can change even though its unordered event set did not.
+        Widening the span makes every such window a strict descendant of the
+        covering window.  (Deletion moves cannot flip a containing window's
+        tests: both days stay inside its span, hence at or before its end.)"""
         t_predict = rec.day
         self.schedule.move(rec, t)
         rec.realized = True
-        yield from self.retrigger(t, t_predict, widen=rec.kind == INSERT)
+        return (t - 1 if rec.kind == INSERT else t), t_predict
 
-    def process_event_later(self, rec: Rec, t: int) -> Iterator[int]:
+    def process_event_later(self, rec: Rec, t: int) -> tuple[int, int]:
         """Predicted event missed its day: push it 2^i days ahead (doubling
-        per miss), drag any earlier predicted deletion of the same element
-        along to keep insert-before-delete, and repair the subtree.
+        per miss) and drag any earlier predicted deletion of the same
+        element along to keep insert-before-delete.  Returns the span of
+        days to repair, widened for an insertion as in
+        ``process_event_earlier``.
 
         A push past the horizon clamps to day T while earlier days remain
         (the real event, if any, will find it there at cost proportional to
@@ -354,8 +378,7 @@ class Engine:
                 self.schedule.move(dl, target)
                 dl.i += 1
                 self.counters.reschedules += 1
-        yield 1
-        yield from self.retrigger(t, target, widen=rec.kind == INSERT)
+        return (t - 1 if rec.kind == INSERT else t), target
 
     # -- day loop -------------------------------------------------------------
 
@@ -409,6 +432,7 @@ class Engine:
         if event.payload:
             self.schedule.payloads[event.element] = event.payload
 
+        spans = []
         if online:
             self.schedule.add(event.element, INSERT, day, realized=True)
             self.schedule_deletion_prediction(event.element, predicted_deletion_day)
@@ -416,9 +440,9 @@ class Engine:
         elif rec is None:
             # never predicted: default prediction at the end of the horizon
             self.schedule.add(event.element, event.kind, day, realized=True)
-            yield from self.retrigger(day, self.T + 1)
+            spans.append((day, self.T + 1))
         elif day < rec.day:
-            yield from self.process_event_earlier(rec, day)
+            spans.append(self.process_event_earlier(rec, day))
         else:
             rec.realized = True
 
@@ -428,7 +452,10 @@ class Engine:
             self.counters.batch_max = len(batch)
         for r in batch:
             if not r.realized:
-                yield from self.process_event_later(r, day)
+                spans.append(self.process_event_later(r, day))
+                yield 1
+        if spans:
+            yield from self.retrigger(spans)
 
         if self.memory[self.tree.leaf_of[day]] is None:
             for nid in self.tree.windows_starting_at(day):
@@ -442,7 +469,7 @@ class Engine:
         nid = self.tree.leaf_of[day]
         if self.memory[nid] is None:
             raise ScheduleBug(f"leaf for day {day} never computed")
-        return self.problem.day_output(self.memory[nid], WindowCtx(self, nid))
+        return self.problem.day_output(self.memory[nid], self.contexts[nid])
 
 
 def drain(gen: Iterator[int]) -> int:

@@ -15,7 +15,7 @@ inserts the window's permanents, giving work update(A) per element.
 Each permanent of a window has exactly one event that rules out the
 parent: for a left child, its deletion inside the sibling; for any other
 window, its insertion inside (parent start, own start], which for the root
-means on day 0 or 1.  ``WindowCtx.permanent_candidates`` yields just those
+means on day 0 or 1.  ``WindowCtx.permanent_candidates`` returns just those
 records, and a candidate is permanent exactly when its element is alive
 across the window by ``WindowCtx.lifetime_maps``.  A window reads nothing
 else of the schedule.
@@ -50,19 +50,19 @@ class IncrementalContract(Protocol):
 
 def window_permanents(ctx: WindowCtx) -> list[str]:
     """Elements permanent for the window of ``ctx``, sorted: those of
-    ``ctx.permanent_candidates()`` alive across the whole window.  This
-    scan runs for every window recompute."""
+    ``ctx.permanent_candidates()`` alive across the whole window.  An
+    element never inserted reads as inserted after every window.  This scan
+    runs for every window recompute."""
     s, e = ctx.start, ctx.end
     ins_map, del_map, never = ctx.lifetime_maps()
     ins_get, del_get = ins_map.get, del_map.get
-    out = []
-    for rec in ctx.permanent_candidates():
-        el = rec.element
-        # an element never inserted reads as inserted after every window
-        if ins_get(el, never) <= s and del_get(el, never) > e:
-            out.append(el)
-    out.sort()
-    return out
+    return sorted(
+        [
+            rec.element
+            for rec in ctx.permanent_candidates()
+            if ins_get(rec.element, never) <= s and del_get(rec.element, never) > e
+        ]
+    )
 
 
 class LiftedIncremental:

@@ -3,8 +3,10 @@ against: batch slot assignment, the minimum-l1 and minimum-linf
 assignments, feasibility and displacement of an assignment, and the
 partition tree's window test straight from divider priorities and a
 window's span, an element's liveness on a day read from a schedule, an
-engine's state in comparable form, and a record of the window computes
-that run after the window's last day."""
+engine's state in comparable form, an engine that repairs each moved
+record's span on its own, the live windows that differ from a fresh
+top-down compute, and records of the window computes that run after the
+window's last day and of those a retrigger runs."""
 
 from __future__ import annotations
 
@@ -13,8 +15,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from predlift.engine import Engine
+from predlift.engine import Engine, WindowCtx
 from predlift.model import DELETE, INSERT, Prediction
+from predlift.problems import MsfGraph
 from predlift.scheduling import Assignment, SlotLine
 from predlift.timetree import PartitionTree
 
@@ -218,6 +221,62 @@ def engine_state(eng) -> tuple:
         (dict(sched.payloads), dict(sched.ins_day), dict(sched.del_day)),
         repr(eng.memory),
     )
+
+
+class PerSpanEngine(Engine):
+    """The engine with one repair walk per moved record: each span of a day
+    is walked on its own, so a window below several spans is recomputed
+    once for each.  The reference the day's shared walk is checked against:
+    the same memories and outputs, for at least as many units."""
+
+    def retrigger(self, spans):
+        for span in spans:
+            yield from Engine.retrigger(self, [span])
+
+
+def comparable(memory):
+    """A window memory in a form that compares by value: an MSF window by
+    its edges, forced weight and forced ids, a contract state as it is."""
+    if isinstance(memory, MsfGraph):
+        return memory.edges, memory.acc_weight, memory.acc_ids
+    return memory
+
+
+def stale_windows(eng) -> list[tuple[int, int]]:
+    """Spans of the live windows of ``eng`` whose last day has not passed and
+    whose memory differs from a fresh compute, top-down from the root, on
+    the current schedule."""
+    tree = eng.tree
+    fresh, stale = {}, []
+    for nid in range(tree.n_nodes()):
+        if eng.memory[nid] is None or tree.end[nid] < eng.current_day:
+            continue
+        parent = tree.parent[nid]
+        pmem = fresh[parent] if parent != -1 else None
+        fresh[nid] = eng.problem.compute_window(WindowCtx(eng, nid), pmem)[0]
+        if comparable(fresh[nid]) != comparable(eng.memory[nid]):
+            stale.append(span(tree, nid))
+    return stale
+
+
+@contextmanager
+def retrigger_recomputes():
+    """Record, while the block runs, every window recompute a retrigger of
+    any engine makes: a list of (engine, day, window) triples.
+    ``Engine._recompute`` is restored on exit."""
+    seen: list[tuple[Engine, int, int]] = []
+    recompute = Engine._recompute
+
+    def recording(eng, nid, bucket):
+        if bucket == "retrigger":
+            seen.append((eng, eng.current_day, nid))
+        return recompute(eng, nid, bucket)
+
+    Engine._recompute = recording
+    try:
+        yield seen
+    finally:
+        Engine._recompute = recompute
 
 
 @contextmanager

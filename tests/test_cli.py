@@ -144,6 +144,8 @@ def test_input_error_exit_code(tmp_path, capsys):
     late_s.write_text("S a 1 5\n1 I a 5\nS c 3 7\n2 D a never\n")
     two_edges = tmp_path / "edge.stream"
     two_edges.write_text("1 a I 0 1\n2 b I 1 2\n")
+    counter_stream = tmp_path / "c.stream"
+    counter_stream.write_text("1 a I\n2 b I\n")
     unread_pred = tmp_path / "unread.pred"
     unread_pred.write_text("a I 1\nb I 2\nzz I 5\n")  # zz is never inserted
     cases = [
@@ -176,6 +178,10 @@ def test_input_error_exit_code(tmp_path, capsys):
          "--pred", str(unread_pred)],
         ["--problem", "counter", "--stream", str(two_edges), "--mode", "predicted",
          "--bundles", str(tmp_path / "nonexistent")],
+        # one input per run, and an instance only for the problem that reads one
+        ["--problem", "decmax", "--instance", str(inst), "--stream", str(counter_stream)],
+        ["--problem", "counter", "--stream", str(counter_stream), "--instance", str(inst)],
+        ["--problem", "counter", "--dstream", str(dstream), "--stream", str(counter_stream)],
     ]
     for case in cases:
         with warnings.catch_warnings(record=True) as caught:

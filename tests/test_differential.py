@@ -1,18 +1,24 @@
 """Generated differential tests: in every mode, under every error model, the
 daily outputs equal the from-scratch oracle's, the counters stay within
 the bounds the paper proves, and no window is computed after its last day,
-when nothing can read it."""
+when nothing can read it.  A day repairs all of its moved records in one
+walk: its outputs equal those of an engine that walks each record's span
+on its own, for no more units, and no window is recomputed twice on one
+day.  After every day, every window that can still be read equals a fresh
+compute on the current schedule."""
 
+from itertools import product
 from math import log2
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ended_window_computes
+from oracles import PerSpanEngine, ended_window_computes, retrigger_recomputes, stale_windows
 from predlift.boosting import Backstop, BoostConfig, RecomputeBackstop, SteppableEngine, boost_run
 from predlift.decremental import DecrementalRun
-from predlift.engine import Engine, drain, run_offline, run_predicted
+from predlift.engine import Engine, drain
 from predlift.incremental import lift_incremental
+from predlift.model import Prediction
 from predlift.problems import (
     connectivity_contract,
     counter_contract,
@@ -56,26 +62,39 @@ horizons = st.integers(8, 32).map(lambda half: 2 * half)
 seeds = st.integers(0, 2**16)
 
 
-def run_mode(mode, problem, inst, seed):
-    """(daily outputs, the engine's counters) of one instance in ``mode``."""
-    impl = problem_impl(problem)
-    if mode == "offline":
-        eng = run_offline(impl, inst.T, inst.stream, seed)
-        return eng.outputs, eng.counters
-    if mode == "predicted":
-        eng = run_predicted(
-            impl, inst.T, inst.predictions, inst.stream, seed,
-            payload_registry=inst.payload_registry,
-        )
-        return eng.outputs, eng.counters
-    eng = Engine(impl, inst.T, seed, payload_registry=inst.payload_registry)
+def run_mode(mode, problem, inst, seed, engine=Engine):
+    """(daily outputs, the run's ``engine``) of one instance in ``mode``.  A
+    backstopped engine is stepped to completion after the last day, so its
+    counters cover every day."""
+    eng = engine(problem_impl(problem), inst.T, seed, payload_registry=inst.payload_registry)
+    predictions = inst.predictions
+    if mode == "offline":  # the realized stream is its own exact prediction
+        predictions = [Prediction(ev, day) for day, ev in inst.stream]
+    if mode != "backstopped":
+        drain(eng.ingest_predictions(predictions))
+        for day, ev in inst.stream:
+            drain(eng.process_day(day, ev))
+        return eng.outputs, eng
     backstop = RecomputeBackstop(
         lambda active: oracle_answer(problem, active, inst.payload_registry)
     )
-    meta = Backstop([SteppableEngine(eng, inst.predictions), SteppableEngine(backstop)])
+    stepped = SteppableEngine(eng, predictions)
+    meta = Backstop([stepped, SteppableEngine(backstop)])
     for day, ev in inst.stream:
         meta.feed(day, ev)
-    return meta.outputs, eng.counters
+    while not stepped.is_complete():
+        stepped.step()
+    return meta.outputs, eng
+
+
+def assert_one_walk_per_day(run, reference, recomputes):
+    """``run`` (an engine or a decremental run) answers every day like
+    ``reference``, the same run on a ``PerSpanEngine``, for no more units,
+    and its retriggers, recorded in ``recomputes``, recomputed no window
+    twice on one day."""
+    assert run.outputs == reference.outputs
+    assert run.counters.total_units() <= reference.counters.total_units()
+    assert len(set(recomputes)) == len(recomputes)
 
 
 @settings(SETTINGS, max_examples=150)
@@ -89,13 +108,14 @@ def run_mode(mode, problem, inst, seed):
 def test_offline_problem_modes_match_oracle(problem, mode, data, T, seed):
     model = data.draw(error_models(T))
     inst = generate_offline_instance(problem, 8, T, model, seed)
-    with ended_window_computes() as ended:
-        outputs, counters = run_mode(mode, problem, inst, seed)
+    with ended_window_computes() as ended, retrigger_recomputes() as recomputes:
+        outputs, eng = run_mode(mode, problem, inst, seed)
     assert outputs == oracle_daily_outputs(problem, inst.stream)
     assert not ended
+    assert_one_walk_per_day(eng, run_mode(mode, problem, inst, seed, PerSpanEngine)[1], recomputes)
     if inst.l1 == 0 or mode == "offline":
-        assert counters.retrigger_calls == 0
-    assert counters.batch_max <= 2 * log2(T) + 4
+        assert eng.counters.retrigger_calls == 0
+    assert eng.counters.batch_max <= 2 * log2(T) + 4
 
 
 @settings(SETTINGS, max_examples=40)
@@ -137,11 +157,15 @@ def test_deletion_predicted_engine_matches_oracle(problem, data, T, seed):
     model = data.draw(error_models(T))
     items, _, err = generate_deletion_predicted_stream(problem, 8, T, model, seed)
     eng = Engine(problem_impl(problem), T, seed)
-    with ended_window_computes() as ended:
+    reference = PerSpanEngine(problem_impl(problem), T, seed)
+    with ended_window_computes() as ended, retrigger_recomputes() as recomputes:
         for day, ev, pred in items:
             drain(eng.process_day(day, ev, predicted_deletion_day=pred))
+    for day, ev, pred in items:
+        drain(reference.process_day(day, ev, predicted_deletion_day=pred))
     assert eng.outputs == oracle_daily_outputs(problem, [(d, ev) for d, ev, _ in items])
     assert not ended
+    assert_one_walk_per_day(eng, reference, recomputes)
     if err == 0:
         assert eng.counters.retrigger_calls == 0
 
@@ -152,11 +176,38 @@ def test_decremental_run_matches_oracle(data, T, seed):
     model = data.draw(error_models(T, kinds=("exact", "uniform", "drop")))
     predicted_set, items, _ = generate_insertion_predicted_instance(12, T, model, seed)
     run = DecrementalRun(decremental_max_contract(), predicted_set, T, seed)
-    with ended_window_computes() as ended:
+    reference = DecrementalRun(decremental_max_contract(), predicted_set, T, seed)
+    reference.engine.__class__ = PerSpanEngine  # built by the run, before any day
+    with ended_window_computes() as ended, retrigger_recomputes() as recomputes:
         for day, ev, reins in items:
             run.process_day(day, ev, reins)
+    for day, ev, reins in items:
+        reference.process_day(day, ev, reins)
     assert run.outputs == oracle_daily_outputs("decmax", [(d, ev) for d, ev, _ in items])
     assert not ended
+    assert_one_walk_per_day(run, reference, recomputes)
+
+
+def test_readable_windows_stay_fresh():
+    """After every day, every live window whose last day has not passed
+    equals a fresh top-down compute on the current schedule, so no repair
+    walk missed a window a move changed.  On fixed instances, to keep the
+    check to a few seconds."""
+    models = (ErrorModel("uniform", sigma=9), ErrorModel("inject", sigma=128))
+    for problem, model, seed in product(PROBLEMS, models, range(4)):
+        inst = generate_offline_instance(problem, 16, 64, model, seed)
+        eng = Engine(problem_impl(problem), inst.T, seed, payload_registry=inst.payload_registry)
+        drain(eng.ingest_predictions(inst.predictions))
+        for day, ev in inst.stream:
+            drain(eng.process_day(day, ev))
+            assert not stale_windows(eng), (problem, model, seed, day)
+    for seed in range(4):
+        model = ErrorModel("uniform", sigma=8)
+        predicted_set, items, _ = generate_insertion_predicted_instance(16, 64, model, seed)
+        run = DecrementalRun(decremental_max_contract(), predicted_set, 64, seed)
+        for day, ev, reins in items:
+            run.process_day(day, ev, reins)
+            assert not stale_windows(run.engine), ("decmax", seed, day)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

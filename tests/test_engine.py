@@ -1,6 +1,9 @@
 """Engine: day loop, handlers, retrigger scope, work accounting,
 determinism."""
 
+import gc
+import weakref
+
 import pytest
 
 from oracles import engine_state
@@ -41,19 +44,21 @@ def test_early_event_retrigger_range():
     # element predicted for day 9 arrives on day 3
     preds = [P("a", INSERT, 1), P("b", INSERT, 9)]
     eng = make_engine(10, preds)
-    calls = []
+    spans = []
     orig = eng.retrigger
 
-    def spy(t1, t2, widen=False):
-        calls.append((t1, t2))
-        yield from orig(t1, t2, widen=widen)
+    def spy(day_spans):
+        spans.extend(day_spans)
+        yield from orig(day_spans)
 
     eng.retrigger = spy
     drain(eng.process_day(1, Event("a", INSERT)))
     drain(eng.process_day(2, Event("x", INSERT)))  # never predicted
     drain(eng.process_day(3, Event("b", INSERT)))
-    assert (3, 9) in calls  # earlier-than-prediction handler
-    assert (2, 11) in calls  # sentinel prediction spans past the horizon
+    # earlier-than-prediction handler: days 3..9, one day further left
+    # because the moved record is an insertion
+    assert (3 - 1, 9) in spans
+    assert (2, 11) in spans  # sentinel prediction spans past the horizon
     assert eng.outputs == [1, 2, 3]
 
 
@@ -154,6 +159,23 @@ def test_deterministic_given_seed():
     assert run() == run()
 
 
+def test_dropped_engine_is_freed_without_the_cycle_collector():
+    # boost_run drops each old epoch's engines mid-stream; an engine in a
+    # reference cycle would be freed later, by a collection inside some day
+    inst = generate_offline_instance("counter", 8, 32, ErrorModel("uniform", sigma=9), 5)
+    eng = run_predicted(
+        lift_incremental(counter_contract()), inst.T, inst.predictions, inst.stream, 17
+    )
+    assert any(ctx is not None for ctx in eng.contexts)
+    ref = weakref.ref(eng)
+    gc.disable()
+    try:
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_offline_mode_matches_predicted_outputs():
     inst = generate_offline_instance("counter", 8, 96, ErrorModel("uniform", sigma=9), 6)
     pred = run_predicted(
@@ -168,7 +190,7 @@ def test_full_retrigger_equals_preprocessing_cost():
     inst = exact_counter_instance(64, seed=2)
     eng = make_engine(inst.T, inst.predictions, seed=9)
     before = eng.counters.window_compute_units
-    drain(eng.retrigger(1, inst.T))
+    drain(eng.retrigger([(1, inst.T)]))
     # recomputing everything below the root touches every window but the root
     assert eng.counters.retrigger_units >= before * 0.5
 
