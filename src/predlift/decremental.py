@@ -39,23 +39,28 @@ class DecrementalContract(Protocol):
 
 
 class _AntiContract:
-    """IncrementalContract facade: inserting anti-e deletes e."""
+    """IncrementalContract facade: inserting anti-e deletes e.  It holds the
+    run's ``ground`` dict, which the run grows in place, and never the run:
+    a reference back would make every run a cycle through its engine,
+    freed only by the cyclic collector."""
 
-    def __init__(self, run: "DecrementalRun"):
-        self.run = run
+    def __init__(self, contract: DecrementalContract, ground: dict[str, tuple], T: int):
+        self.contract = contract
+        self.ground = ground
+        self.T = T
 
     def init(self):
-        items = sorted((el, payload[0]) for el, payload in self.run.ground.items())
-        return self.run.contract.initialize(items, self.run.T)
+        items = sorted((el, payload[0]) for el, payload in self.ground.items())
+        return self.contract.initialize(items, self.T)
 
     def insert(self, state, anti_element, payload):
-        return self.run.contract.delete(state, anti_element.rsplit("~", 1)[0])
+        return self.contract.delete(state, anti_element.rsplit("~", 1)[0])
 
     def clone(self, state):
-        return self.run.contract.clone(state)
+        return self.contract.clone(state)
 
     def output(self, state):
-        return self.run.contract.output(state)
+        return self.contract.output(state)
 
 
 class DecrementalRun:
@@ -78,7 +83,8 @@ class DecrementalRun:
         self.ground: dict[str, tuple] = {el: payload for el, day, payload in predicted_set}
         self.generation: dict[str, int] = {el: 0 for el in self.ground}
         self.out_of_set_inserts = 0  # the theorem's K
-        self.engine = Engine(lift_incremental(_AntiContract(self)), T, seed)
+        anti = _AntiContract(contract, self.ground, T)
+        self.engine = Engine(lift_incremental(anti), T, seed)
         self.engine.preload_day0([self._anti(el) for el, _, _ in predicted_set])
         for el, day, _ in predicted_set:
             self.engine.schedule_deletion_prediction(self._anti(el), day)

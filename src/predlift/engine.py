@@ -11,13 +11,16 @@ When a real event lands earlier than its prediction, the prediction is
 pulled back to the real day; when a predicted event fails to materialize on
 its day, it is pushed 2^i days ahead (doubling with each miss).  Either move
 can change only the windows below the smallest window containing both of
-its days, so each move yields that span of days.  Once a day has moved its
-records, one repair walk recomputes every window below the spans' covering
-windows, each at most once and after its parent.  The walk never touches
-windows whose unordered event set is unchanged, which is what ties total
-work to the l1 prediction error.  Nor does it touch a window whose last day
-has passed: a day's answer is read from its own leaf, so such a window
-keeps its last memory but is never recomputed or read again.
+its days that meet the days between them, so each move yields that span
+of days.  Once a day has moved its records, one repair walk recomputes,
+each at most once and after its parent, every window below the spans'
+covering windows that meets a moved day: one that has not ended and starts
+on or before the farthest day of any span.  The walk never touches windows
+whose unordered event set is unchanged, which is what ties total work to
+the l1 prediction error.  A window whose last day has passed keeps its last
+memory but is never recomputed or read again, since a day's answer is read
+from its own leaf.  A window that starts after every moved day keeps its
+memory too: it still answers its days, as the problem protocol requires.
 
 All long-running entry points are generators that yield work-unit counts,
 so an engine can be driven to completion in a tight loop or preempted after
@@ -194,18 +197,25 @@ class Engine:
 
     Both read the schedule only through the ``WindowCtx`` they are handed:
     records through ``permanent_candidates`` and lifetimes through
-    ``lifetime_maps``.
+    ``lifetime_maps``.  What a window's memory answers, for its own days
+    and as its children's parent memory, must depend only on the elements
+    alive across the window and the events inside it.  A repair walk does
+    not recompute a window that no moved record reaches, even when it
+    recomputes its parent, so the kept memory, built from the parent's old
+    memory, must still answer as a fresh compute would, though it may
+    differ in form (a connectivity window keeps a union-find of another
+    shape).
 
     ``memory[nid]`` holds a window's computed memory, or None while the
     window is not live, and ``contexts[nid]`` the window's ``WindowCtx``,
     built at its first compute.  A window is live from its first compute
-    on, and only live windows whose last day has not passed are recomputed;
-    an ended window keeps its last memory, which nothing reads.  Ingesting
-    predictions computes the whole tree; in an engine given none, each
-    window goes live on its start day.  Insertions that arrive carrying a
-    predicted deletion day (the deletion-predicted and decremental
-    settings) are for the latter, and only for a ``LiftedIncremental``
-    problem.
+    on, and only live windows whose last day has not passed and that a
+    moved record reaches are recomputed; an ended window keeps its last
+    memory, which nothing reads.  Ingesting predictions computes the whole
+    tree; in an engine given none, each window goes live on its start day.
+    Insertions that arrive carrying a predicted deletion day (the
+    deletion-predicted and decremental settings) are for the latter, and
+    only for a ``LiftedIncremental`` problem.
     """
 
     def __init__(
@@ -300,16 +310,25 @@ class Engine:
         """Repair the windows a day's moved records can have changed: each
         ``(lo, hi)`` span of days charges one retrigger call, and then every
         live descendant of the smallest window holding a span's two days
-        whose last day has not passed is recomputed once, in node-id order.
+        that meets some moved day is recomputed once, in node-id order.
         A parent's id is smaller than its children's, so every window reads
         its parent's fresh memory, and a window below several spans is
-        recomputed once however many of them reach it.  A window that ended
-        before today keeps its last memory but is never read again, and nor
-        is anything below it, so the walk stops there.
+        recomputed once however many of them reach it.
+
+        Every span holds today, so a window meets a moved day exactly when
+        it has not ended and starts on or before ``reach``, the farthest
+        day of any span.  The walk stops at a window that fails this, as
+        every window below it does too.  A window that ended before today
+        keeps its last memory but is never read again.  A window that
+        starts after ``reach`` keeps a memory that still answers its days:
+        every moved record stayed before it, so it has the same elements
+        alive across it and the same events inside it (the protocol's
+        requirement in ``Engine``).
 
         A span leaving ``[1, T]`` means the event left or entered the tree
         entirely, which invalidates the root as well: the walk starts at the
-        root and covers every live window below it."""
+        root, and ``reach`` is T+1, so it covers every live window below it
+        that has not ended."""
         tree = self.tree
         heap = []
         for lo, hi in spans:
@@ -321,13 +340,20 @@ class Engine:
                 top = tree.smallest_window(lo, hi)
                 if tree.left[top] != -1:
                     heap += (tree.left[top], tree.right[top])
+        reach = max(hi for _, hi in spans)
         heapify(heap)
         last = None
         while heap:
             nid = heappop(heap)
             # a window several spans reach pops once for each, in a row; below
-            # a window not yet live or already ended, every window is too
-            if nid == last or self.memory[nid] is None or tree.end[nid] < self.current_day:
+            # a window not yet live, already ended or starting after every
+            # moved day, every window is too
+            if (
+                nid == last
+                or self.memory[nid] is None
+                or tree.end[nid] < self.current_day
+                or tree.start[nid] > reach
+            ):
                 continue
             last = nid
             yield self._recompute(nid, bucket="retrigger")
@@ -339,7 +365,9 @@ class Engine:
 
     def process_event_earlier(self, rec: Rec, t: int) -> tuple[int, int]:
         """Real event on day t ahead of its prediction: pull the record back
-        to t as a real event.  Returns the span of days to repair.
+        to t as a real event.  Returns the span of days to repair: the
+        move changes only windows below the span's covering window that
+        meet its days, and no window starting after the old predicted day.
 
         The span runs one day further left when the moved record is an
         insertion: a window starting exactly at t tests "inserted on or
@@ -358,7 +386,9 @@ class Engine:
         per miss) and drag any earlier predicted deletion of the same
         element along to keep insert-before-delete.  Returns the span of
         days to repair, widened for an insertion as in
-        ``process_event_earlier``.
+        ``process_event_earlier``: the moves change only windows below the
+        span's covering window that meet its days, none starting after the
+        new day.
 
         A push past the horizon clamps to day T while earlier days remain
         (the real event, if any, will find it there at cost proportional to

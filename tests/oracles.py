@@ -17,7 +17,7 @@ import numpy as np
 
 from predlift.engine import Engine, WindowCtx
 from predlift.model import DELETE, INSERT, Prediction
-from predlift.problems import MsfGraph
+from predlift.problems import ConnectivityContract, MsfGraph
 from predlift.scheduling import Assignment, SlotLine
 from predlift.timetree import PartitionTree
 
@@ -227,25 +227,41 @@ class PerSpanEngine(Engine):
     """The engine with one repair walk per moved record: each span of a day
     is walked on its own, so a window below several spans is recomputed
     once for each.  The reference the day's shared walk is checked against:
-    the same memories and outputs, for at least as many units."""
+    the same outputs, for at least as many units.  Its window memories
+    answer the same but need not be equal: a connectivity window that one
+    walk recomputes and the other keeps holds the same components in a
+    union-find of another shape."""
 
     def retrigger(self, spans):
         for span in spans:
             yield from Engine.retrigger(self, [span])
 
 
-def comparable(memory):
-    """A window memory in a form that compares by value: an MSF window by
-    its edges, forced weight and forced ids, a contract state as it is."""
+def comparable(problem, memory):
+    """A window memory of ``problem`` in a form that compares by value: an
+    MSF window by its edges, forced weight and forced ids, a connectivity
+    state by its components (their union is its vertex set), since the
+    shape of its union-find depends on the order of its insertions, and
+    any other contract state as it is."""
     if isinstance(memory, MsfGraph):
         return memory.edges, memory.acc_weight, memory.acc_ids
+    if isinstance(getattr(problem, "contract", None), ConnectivityContract):
+        parent, _ = memory
+        components: dict = {}
+        for v in parent:
+            root = v
+            while parent[root] != root:
+                root = parent[root]
+            components.setdefault(root, set()).add(v)
+        return frozenset(frozenset(c) for c in components.values())
     return memory
 
 
 def stale_windows(eng) -> list[tuple[int, int]]:
     """Spans of the live windows of ``eng`` whose last day has not passed and
     whose memory differs from a fresh compute, top-down from the root, on
-    the current schedule."""
+    the current schedule, the memories compared as ``comparable`` gives
+    them."""
     tree = eng.tree
     fresh, stale = {}, []
     for nid in range(tree.n_nodes()):
@@ -254,7 +270,7 @@ def stale_windows(eng) -> list[tuple[int, int]]:
         parent = tree.parent[nid]
         pmem = fresh[parent] if parent != -1 else None
         fresh[nid] = eng.problem.compute_window(WindowCtx(eng, nid), pmem)[0]
-        if comparable(fresh[nid]) != comparable(eng.memory[nid]):
+        if comparable(eng.problem, fresh[nid]) != comparable(eng.problem, eng.memory[nid]):
             stale.append(span(tree, nid))
     return stale
 

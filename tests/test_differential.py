@@ -4,8 +4,10 @@ the bounds the paper proves, and no window is computed after its last day,
 when nothing can read it.  A day repairs all of its moved records in one
 walk: its outputs equal those of an engine that walks each record's span
 on its own, for no more units, and no window is recomputed twice on one
-day.  After every day, every window that can still be read equals a fresh
-compute on the current schedule."""
+day.  The walk recomputes exactly the windows a day's moves touch, and its
+work stays within the paper's bound in the l1 error for lifted incremental
+problems.  After every day, every window that can still be read answers as
+a fresh compute on the current schedule."""
 
 from itertools import product
 from math import log2
@@ -190,9 +192,9 @@ def test_decremental_run_matches_oracle(data, T, seed):
 
 def test_readable_windows_stay_fresh():
     """After every day, every live window whose last day has not passed
-    equals a fresh top-down compute on the current schedule, so no repair
-    walk missed a window a move changed.  On fixed instances, to keep the
-    check to a few seconds."""
+    equals a fresh top-down compute on the current schedule (a connectivity
+    window by its components), so no repair walk missed a window a move
+    changed.  On fixed instances, to keep the check to a few seconds."""
     models = (ErrorModel("uniform", sigma=9), ErrorModel("inject", sigma=128))
     for problem, model, seed in product(PROBLEMS, models, range(4)):
         inst = generate_offline_instance(problem, 16, 64, model, seed)
@@ -208,6 +210,76 @@ def test_readable_windows_stay_fresh():
         for day, ev, reins in items:
             run.process_day(day, ev, reins)
             assert not stale_windows(run.engine), ("decmax", seed, day)
+
+
+# The paper's repair-work bound: retrigger units <= C * (l1 + T) * log2(T)^2
+# for lifted incremental problems.  Each C is the worst ratio at T = 16 and
+# 64 (l1 = T and 2T, seeds 0-2, n = 16), rounded up: counter 0.27,
+# connectivity 2.13.  The inject model places at most about 2T of error at
+# these horizons, 4T from T = 256 on.
+WORK_BOUND_C = {"counter": 0.3, "connectivity": 2.2}
+WORK_BOUND_SWEEP = ((16, (1, 2)), (64, (1, 2)), (256, (1, 4)), (1024, (1, 4)))
+
+
+def test_retrigger_work_within_paper_bound():
+    """Repair work grows with the l1 error times log^2 T, with no further
+    factor of T: the ratio fitted at small horizons holds up to T = 1024."""
+    for problem, C in WORK_BOUND_C.items():
+        for T, multiples in WORK_BOUND_SWEEP:
+            for k, seed in product(multiples, range(3)):
+                inst = generate_offline_instance(problem, 16, T, ErrorModel("inject", k * T), seed)
+                _, eng = run_mode("predicted", problem, inst, seed)
+                bound = C * (inst.l1 + T) * log2(T) ** 2
+                assert eng.counters.retrigger_units <= bound, (problem, T, k, seed)
+
+
+def covering_window(tree, lo, hi):
+    """The smallest window holding days ``lo`` and ``hi``, by a scan of
+    every window's span."""
+    holding = [n for n in range(tree.n_nodes()) if tree.start[n] <= lo and hi <= tree.end[n]]
+    return min(holding, key=lambda n: tree.end[n] - tree.start[n])
+
+
+def test_repair_walk_recomputes_exactly_the_windows_moves_touch(monkeypatch):
+    """On every day with moved records, the walk recomputes exactly the
+    windows that were live before it, end on or after today, start on or
+    before the farthest day of any span, and lie strictly below some
+    span's covering window (anywhere in the tree for a span that leaves
+    ``[1, T]``).  On fixed instances, every retrigger checked."""
+    walks = []
+    retrigger = Engine.retrigger
+
+    def spy(eng, spans):
+        live = {nid for nid, mem in enumerate(eng.memory) if mem is not None}
+        walks.append((eng, eng.current_day, list(spans), live))
+        yield from retrigger(eng, spans)
+
+    monkeypatch.setattr(Engine, "retrigger", spy)
+    models = (ErrorModel("uniform", sigma=9), ErrorModel("inject", sigma=128))
+    with retrigger_recomputes() as recomputes:
+        for problem, model, seed in product(PROBLEMS, models, range(2)):
+            inst = generate_offline_instance(problem, 16, 64, model, seed)
+            run_mode("predicted", problem, inst, seed)
+    recomputed: dict = {}
+    for eng, day, nid in recomputes:
+        recomputed.setdefault((eng, day), set()).add(nid)
+    assert len(walks) > 100
+    for eng, day, spans, live in walks:
+        tree = eng.tree
+        reach = max(hi for _, hi in spans)
+        below = set()
+        for lo, hi in spans:
+            if lo < 1 or hi > eng.T:
+                below.update(range(tree.n_nodes()))
+                continue
+            top = covering_window(tree, lo, hi)
+            below.update(
+                n
+                for n in range(tree.n_nodes())
+                if n != top and tree.start[top] <= tree.start[n] and tree.end[n] <= tree.end[top]
+            )
+        expected = {n for n in below & live if tree.end[n] >= day and tree.start[n] <= reach}
+        assert recomputed.get((eng, day), set()) == expected, (day, spans)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -7,10 +7,16 @@ import weakref
 import pytest
 
 from oracles import engine_state
+from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, ScheduleBug, drain, run_offline, run_predicted
 from predlift.incremental import lift_incremental
 from predlift.model import DELETE, INSERT, Event, Prediction
-from predlift.problems import counter_contract, msf_problem, oracle_daily_outputs
+from predlift.problems import (
+    counter_contract,
+    decremental_max_contract,
+    msf_problem,
+    oracle_daily_outputs,
+)
 from predlift.streamgen import ErrorModel, generate_offline_instance
 
 
@@ -172,6 +178,22 @@ def test_dropped_engine_is_freed_without_the_cycle_collector():
     try:
         del eng
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_dropped_decremental_run_is_freed_without_the_cycle_collector():
+    # an out-of-set insertion grows the ground set the engine's contract
+    # reinitializes from; the contract must hold that set, not the run
+    run = DecrementalRun(decremental_max_contract(), [("a", 1, (5,))], 4, 3)
+    run.process_day(1, Event("a", INSERT, (5,)))
+    run.process_day(2, Event("b", INSERT, (9,)))
+    assert run.out_of_set_inserts == 1 and run.outputs == [5, 9]
+    refs = weakref.ref(run), weakref.ref(run.engine)
+    gc.disable()
+    try:
+        del run
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
