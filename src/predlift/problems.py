@@ -142,37 +142,41 @@ def decremental_max_contract() -> DecrementalMaxContract:
 class MsfGraph:
     """Window memory for the MSF problem: the contracted residual graph plus
     the weight and ids of edges already forced into every spanning forest of
-    the window's span."""
+    the window's span.  The forced ids are a sorted tuple: a window adds its
+    contracted ids, and a day its picked ids, by sorting the concatenation,
+    which the sort does as a merge of the sorted run with the few new ids."""
 
     __slots__ = ("edges", "acc_weight", "acc_ids")
 
     def __init__(self, edges, acc_weight, acc_ids):
         self.edges = edges  # tuple of (w, id, u, v) in contracted labels
         self.acc_weight = acc_weight
-        self.acc_ids = acc_ids
-
-
-def _find(uf: dict, x):
-    """Root of ``x`` in the union-find ``uf`` (a label absent from ``uf`` is
-    its own root), compressing the path.  Every union links the larger root
-    under the smaller, so a root is its component's smallest label."""
-    root = x
-    while uf.get(root, root) != root:
-        root = uf[root]
-    while uf.get(x, x) != root:
-        uf[x], x = root, uf[x]
-    return root
+        self.acc_ids = acc_ids  # sorted tuple of edge ids
 
 
 def _link(uf: dict, edges) -> list:
     """Union the endpoints of each ``(w, id, u, v)`` edge in turn in the
     union-find ``uf``; returns the edges that joined two components, in
-    order."""
+    order.  A label absent from ``uf`` is a root, and finding a root
+    compresses the path to it.  Every union links the larger root under
+    the smaller, so a root is its component's smallest label."""
     linked = []
     for edge in edges:
-        ru, rv = _find(uf, edge[2]), _find(uf, edge[3])
+        u = ru = edge[2]
+        while ru in uf:
+            ru = uf[ru]
+        while u != ru:
+            uf[u], u = ru, uf[u]
+        v = rv = edge[3]
+        while rv in uf:
+            rv = uf[rv]
+        while v != rv:
+            uf[v], v = rv, uf[v]
         if ru != rv:
-            uf[max(ru, rv)] = min(ru, rv)
+            if ru < rv:
+                uf[rv] = ru
+            else:
+                uf[ru] = rv
             linked.append(edge)
     return linked
 
@@ -197,15 +201,19 @@ class MsfProblem:
     the spanning forest of permanents alone are outside every spanning
     forest: drop them.  Volatiles always pass through to the children.
 
-    The root sorts its edges by (w, id) once.  Filtering and relabelling
-    keep that order, so every pass reads edges sorted, and a window's edge
-    list only merges its two sorted runs, kept permanents and volatiles.
+    The root sorts its edges by (w, id) once and drops self-loops, which
+    are in no spanning forest.  Filtering and relabelling keep that order,
+    so every pass reads edges sorted.  A window pays only for the passes
+    its edges need: with no permanents its edges are its volatiles as they
+    come, and with permanents but none contracted they are the kept
+    permanents merged with the volatiles, with no relabel.
     """
 
     def compute_window(self, ctx: WindowCtx, parent: MsfGraph | None):
         s, e = ctx.start, ctx.end
         ins_map, del_map, never = ctx.lifetime_maps()
         ins_get, del_get = ins_map.get, del_map.get
+        loops = 0
         if parent is None:
             candidates = []
             for el, ins in ins_map.items():
@@ -214,52 +222,69 @@ class MsfProblem:
                 payload = ctx.payload(el)
                 if len(payload) < 3:
                     raise ValueError(f"edge {el} has no (u, v, w) payload")
+                if payload[0] == payload[1]:
+                    loops += 1  # in no spanning forest, but charged as an edge
+                    continue
                 candidates.append((payload[2], el, payload[0], payload[1]))
             candidates.sort()
-            acc_weight, acc_ids = 0, frozenset()
+            acc_weight, acc_ids = 0, ()
         else:
             candidates = parent.edges
             acc_weight, acc_ids = parent.acc_weight, parent.acc_ids
 
         perm, vol = [], []
         for edge in candidates:
-            ins = ins_get(edge[1])
-            dl = del_get(edge[1], never)
             # every test below depends only on whether the edge's events fall
             # inside the span, never on their exact days, so a containing
             # window's classification is stable under in-span reschedules
-            if ins is None or ins > e or dl < s:
-                continue  # no event here and never alive here
-            if s <= ins <= e or s <= dl <= e:
+            ins = ins_get(edge[1])
+            if ins is None or ins > e:
+                continue  # not yet alive in the span
+            dl = del_get(edge[1], never)
+            if dl < s:
+                continue  # deleted before the span
+            if ins >= s or dl <= e:
                 vol.append(edge)  # has an endpoint event inside the span
             else:
                 perm.append(edge)  # alive across the whole span
 
-        m = len(perm) + len(vol)
+        m = len(perm) + len(vol) + loops
         cost = m * (1 + ceil(log2(m + 2)))
+
+        if not perm:
+            return MsfGraph(tuple(vol), acc_weight, acc_ids), cost, len(vol)
 
         # contraction test: volatile edges forced present
         forced: dict = {}
         _link(forced, vol)
         contracted = _link(forced, perm)
         # deletion test: permanents alone
-        contracted_ids = {edge[1] for edge in contracted}
-        residual = [edge for edge in _link({}, perm) if edge[1] not in contracted_ids]
+        kept = _link({}, perm)
+        if not contracted:
+            new_edges = kept + vol
+            new_edges.sort()
+            return MsfGraph(tuple(new_edges), acc_weight, acc_ids), cost, len(new_edges)
 
         # relabel under the new contractions
         labels: dict = {}
         _link(labels, contracted)
+        contracted_ids = {edge[1] for edge in contracted}
         new_edges = []
-        for w, eid, u, v in residual + vol:
-            ru, rv = _find(labels, u), _find(labels, v)
-            if ru != rv:  # self-loops are in no spanning forest
-                new_edges.append((w, eid, ru, rv))
+        for w, eid, u, v in kept + vol:
+            if eid in contracted_ids:
+                continue
+            while u in labels:
+                u = labels[u]
+            while v in labels:
+                v = labels[v]
+            if u != v:  # self-loops are in no spanning forest
+                new_edges.append((w, eid, u, v))
         new_edges.sort()
 
         mem = MsfGraph(
             tuple(new_edges),
             acc_weight + sum(edge[0] for edge in contracted),
-            acc_ids | contracted_ids,
+            tuple(sorted(acc_ids + tuple(contracted_ids))),
         )
         return mem, cost, len(new_edges)
 
@@ -272,7 +297,7 @@ class MsfProblem:
             if ins is not None and ins <= t < del_map.get(edge[1], never):
                 alive.append(edge)
         picked, weight = _kruskal(alive)
-        ids = tuple(sorted(leaf.acc_ids | {eid for _, eid, _, _ in picked}))
+        ids = tuple(sorted(leaf.acc_ids + tuple(edge[1] for edge in picked)))
         return (leaf.acc_weight + weight, ids)
 
 

@@ -5,13 +5,15 @@ partition tree's window test straight from divider priorities and a
 window's span, an element's liveness on a day read from a schedule, an
 engine's state in comparable form, an engine that repairs each moved
 record's span on its own, the live windows that differ from a fresh
-top-down compute, and records of the window computes that run after the
-window's last day and of those a retrigger runs."""
+top-down compute, records of the window computes that run after the
+window's last day and of those a retrigger runs, a minimum spanning forest
+by plain Kruskal, and an MSF window computed pass by pass."""
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from math import ceil, log2
 
 import numpy as np
 
@@ -313,3 +315,94 @@ def ended_window_computes():
         yield ended
     finally:
         Engine._recompute = recompute
+
+
+# -- minimum spanning forest --------------------------------------------------
+
+
+def kruskal(edges) -> tuple:
+    """(weight, sorted ids) of the minimum spanning forest of the
+    ``(w, id, u, v)`` edges under the total order (w, id), by plain Kruskal
+    with a union-find of its own."""
+    root: dict = {}
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    weight, picked = 0, []
+    for w, eid, u, v in sorted(edges):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            weight += w
+            picked.append(eid)
+    return weight, tuple(sorted(picked))
+
+
+def reference_msf_window(ctx, parent):
+    """``MsfProblem.compute_window`` pass by pass, with a union-find of its
+    own: classify the parent's edges, link the volatiles and then the
+    permanents to find the contracted ones, link the permanents alone to
+    find the kept ones, relabel the kept and volatile edges under the
+    contractions and drop self-loops, then sort.  The root keeps every
+    edge alive in its span, self-loops too, until the relabel.  Returns
+    (memory, compute units, clone units)."""
+
+    def find(uf, x):
+        while uf.get(x, x) != x:
+            x = uf[x]
+        return x
+
+    def link(uf, edges):
+        linked = []
+        for edge in edges:
+            ru, rv = find(uf, edge[2]), find(uf, edge[3])
+            if ru != rv:
+                uf[max(ru, rv)] = min(ru, rv)
+                linked.append(edge)
+        return linked
+
+    s, e = ctx.start, ctx.end
+    ins_map, del_map, never = ctx.lifetime_maps()
+    if parent is None:
+        candidates = []
+        for el, ins in ins_map.items():
+            if ins <= e and del_map.get(el, never) >= s:
+                p = ctx.payload(el)
+                candidates.append((p[2], el, p[0], p[1]))
+        candidates.sort()
+        acc_weight, acc_ids = 0, ()
+    else:
+        candidates = parent.edges
+        acc_weight, acc_ids = parent.acc_weight, parent.acc_ids
+    perm, vol = [], []
+    for edge in candidates:
+        ins, dl = ins_map.get(edge[1]), del_map.get(edge[1], never)
+        if ins is None or ins > e or dl < s:
+            continue
+        if s <= ins <= e or s <= dl <= e:
+            vol.append(edge)
+        else:
+            perm.append(edge)
+    m = len(perm) + len(vol)
+    forced: dict = {}
+    link(forced, vol)
+    contracted = link(forced, perm)
+    contracted_ids = {edge[1] for edge in contracted}
+    residual = [edge for edge in link({}, perm) if edge[1] not in contracted_ids]
+    labels: dict = {}
+    link(labels, contracted)
+    new_edges = []
+    for w, eid, u, v in residual + vol:
+        ru, rv = find(labels, u), find(labels, v)
+        if ru != rv:
+            new_edges.append((w, eid, ru, rv))
+    new_edges.sort()
+    mem = MsfGraph(
+        tuple(new_edges),
+        acc_weight + sum(edge[0] for edge in contracted),
+        tuple(sorted(set(acc_ids) | contracted_ids)),
+    )
+    return mem, m * (1 + ceil(log2(m + 2))), len(new_edges)

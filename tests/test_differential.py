@@ -7,7 +7,8 @@ on its own, for no more units, and no window is recomputed twice on one
 day.  The walk recomputes exactly the windows a day's moves touch, and its
 work stays within the paper's bound in the l1 error for lifted incremental
 problems.  After every day, every window that can still be read answers as
-a fresh compute on the current schedule."""
+a fresh compute on the current schedule.  Every MSF window compute equals
+the pass-by-pass reference window."""
 
 from itertools import product
 from math import log2
@@ -15,13 +16,21 @@ from math import log2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PerSpanEngine, ended_window_computes, retrigger_recomputes, stale_windows
+from oracles import (
+    PerSpanEngine,
+    comparable,
+    ended_window_computes,
+    reference_msf_window,
+    retrigger_recomputes,
+    stale_windows,
+)
 from predlift.boosting import Backstop, BoostConfig, RecomputeBackstop, SteppableEngine, boost_run
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, drain
 from predlift.incremental import lift_incremental
 from predlift.model import Prediction
 from predlift.problems import (
+    MsfProblem,
     connectivity_contract,
     counter_contract,
     decremental_max_contract,
@@ -210,6 +219,32 @@ def test_readable_windows_stay_fresh():
         for day, ev, reins in items:
             run.process_day(day, ev, reins)
             assert not stale_windows(run.engine), ("decmax", seed, day)
+
+
+def test_msf_windows_equal_the_pass_by_pass_reference(monkeypatch):
+    """Every MSF window compute, at ingest and in every retrigger, returns
+    the memory (edges, forced weight, sorted forced ids), compute units and
+    clone units of ``oracles.reference_msf_window`` on the same context and
+    parent memory.  On fixed instances at T = 128."""
+    compute = MsfProblem.compute_window
+    calls = []
+
+    def checked(problem, ctx, parent):
+        got = compute(problem, ctx, parent)
+        want = reference_msf_window(ctx, parent)
+        assert comparable(problem, got[0]) == comparable(problem, want[0]), (ctx.start, ctx.end)
+        assert got[1:] == want[1:], (ctx.start, ctx.end)
+        calls.append(ctx)
+        return got
+
+    monkeypatch.setattr(MsfProblem, "compute_window", checked)
+    models = (ErrorModel("exact"), ErrorModel("uniform", sigma=9), ErrorModel("inject", sigma=256))
+    with retrigger_recomputes() as recomputes:
+        for model, seed in product(models, range(3)):
+            inst = generate_offline_instance("msf", 16, 128, model, seed)
+            outputs, _ = run_mode("predicted", "msf", inst, seed)
+            assert outputs == oracle_daily_outputs("msf", inst.stream)
+    assert len(calls) > len(recomputes) > 100
 
 
 # The paper's repair-work bound: retrigger units <= C * (l1 + T) * log2(T)^2

@@ -6,13 +6,12 @@ from collections import Counter
 
 import pytest
 
-from oracles import alive_on, span
-from predlift.engine import Engine, WindowCtx, drain, run_predicted
+from oracles import alive_on, kruskal, span
+from predlift.engine import Engine, WindowCtx, drain, run_offline, run_predicted
 from predlift.incremental import lift_incremental
 from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
 from predlift.problems import (
     MsfGraph,
-    _kruskal,
     connectivity_contract,
     counter_contract,
     decremental_max_contract,
@@ -126,22 +125,104 @@ def test_msf_triangle_all_permanent_contracts_light_edges():
             (3, "ac", 0, 2),
         ),
         0,
-        frozenset(),
+        (),
     )
     ctx = _StubCtx((4, 6), {"ab": (1, 10), "bc": (1, 10), "ac": (1, 10)}, {})
     mem, _, _ = prob.compute_window(ctx, parent)
     assert mem.edges == ()
     assert mem.acc_weight == 3
-    assert mem.acc_ids == frozenset({"ab", "bc"})
+    assert mem.acc_ids == ("ab", "bc")
 
 
 def test_msf_single_volatile_edge_passes_through():
     prob = msf_problem()
-    parent = MsfGraph(((7, "uv", 0, 1),), 0, frozenset())
+    parent = MsfGraph(((7, "uv", 0, 1),), 0, ())
     ctx = _StubCtx((3, 5), {"uv": (4, 9)}, {})
     mem, _, _ = prob.compute_window(ctx, parent)
     assert mem.edges == ((7, "uv", 0, 1),)
     assert mem.acc_weight == 0
+
+
+def test_msf_window_without_permanents_passes_its_edges_through():
+    # every edge alive here has an event inside [3, 5]; "gone" died before it
+    prob = msf_problem()
+    edges = ((1, "x", 0, 1), (2, "gone", 1, 2), (4, "y", 1, 2), (6, "z", 0, 2))
+    parent = MsfGraph(edges, 9, ("p", "q"))
+    lifetimes = {"x": (3, 9), "gone": (1, 2), "y": (1, 4), "z": (5, 9)}
+    mem, compute, clone = prob.compute_window(_StubCtx((3, 5), lifetimes, {}), parent)
+    assert mem.edges == ((1, "x", 0, 1), (4, "y", 1, 2), (6, "z", 0, 2))
+    assert (mem.acc_weight, mem.acc_ids) == (9, ("p", "q"))
+    assert (compute, clone) == (3 * (1 + 3), 3)
+
+
+def test_msf_window_with_nothing_contracted_drops_the_heavy_permanent():
+    # volatiles a-b and b-c already join a, b, c, so no permanent is forced;
+    # the permanents alone close the cycle a-b-c, so the heaviest is dropped
+    prob = msf_problem()
+    parent = MsfGraph(
+        ((1, "ab", 0, 1), (2, "bc", 1, 2), (3, "ac", 0, 2), (4, "ab2", 0, 1), (5, "bc2", 1, 2)),
+        7,
+        ("k",),
+    )
+    lifetimes = {"ab": (1, 10), "bc": (1, 10), "ac": (1, 10), "ab2": (5, 10), "bc2": (1, 5)}
+    mem, _, clone = prob.compute_window(_StubCtx((4, 6), lifetimes, {}), parent)
+    assert mem.edges == ((1, "ab", 0, 1), (2, "bc", 1, 2), (4, "ab2", 0, 1), (5, "bc2", 1, 2))
+    assert (mem.acc_weight, mem.acc_ids) == (7, ("k",))
+    assert clone == 4
+
+
+def test_msf_window_contracts_and_relabels():
+    # a-b is permanent and joins a to the volatile component {b, c, d}:
+    # contracted, so b is relabelled a; permanent a-c closes a cycle only
+    # through volatiles, so it is neither forced nor dropped
+    prob = msf_problem()
+    parent = MsfGraph(
+        ((1, "ab", 0, 1), (2, "cd", 2, 3), (3, "bc", 1, 2), (4, "ac", 0, 2)),
+        5,
+        ("z",),
+    )
+    lifetimes = {"ab": (1, 10), "cd": (5, 10), "bc": (1, 6), "ac": (1, 10)}
+    mem, _, clone = prob.compute_window(_StubCtx((4, 6), lifetimes, {}), parent)
+    assert mem.edges == ((2, "cd", 2, 3), (3, "bc", 0, 2), (4, "ac", 0, 2))
+    assert (mem.acc_weight, mem.acc_ids) == (6, ("ab", "z"))
+    assert clone == 3
+
+
+def test_msf_self_loops_reach_no_window():
+    """A stream file may hold an edge from a vertex to itself.  It is in no
+    spanning forest: the outputs are the oracles', and no window memory
+    holds it, not even a window with no permanents, whose edges pass
+    through unrelabelled."""
+    stream = [
+        (1, Event("a", INSERT, (0, 1, 5))),
+        (2, Event("loop", INSERT, (2, 2, 0))),
+        (3, Event("b", INSERT, (1, 2, 3))),
+        (4, Event("c", INSERT, (0, 2, 1))),
+        (5, Event("a", DELETE)),
+        (6, Event("loop2", INSERT, (1, 1, 2))),
+        (7, Event("loop", DELETE)),
+        (8, Event("c", DELETE)),
+    ]
+    registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
+    for seed in range(4):
+        eng = run_offline(msf_problem(), 8, stream, seed)
+        assert eng.outputs == oracle_daily_outputs("msf", stream)
+        assert eng.outputs == msf_kruskal_outputs(stream, registry)
+        held = {edge[1] for mem in eng.memory if mem is not None for edge in mem.edges}
+        assert held and not held & {"loop", "loop2"}
+
+
+def msf_kruskal_outputs(stream, registry):
+    """Every day's (weight, sorted ids) from ``oracles.kruskal`` over the
+    edges alive that day."""
+    alive, outs = {}, []
+    for _, ev in stream:
+        if ev.kind == INSERT:
+            alive[ev.element] = ev.payload or registry[ev.element]
+        else:
+            del alive[ev.element]
+        outs.append(kruskal([(p[2], el, p[0], p[1]) for el, p in alive.items()]))
+    return outs
 
 
 def test_msf_outputs_equal_kruskal_oracle():
@@ -154,6 +235,7 @@ def test_msf_outputs_equal_kruskal_oracle():
             payload_registry=inst.payload_registry,
         )
         assert eng.outputs == oracle_daily_outputs("msf", inst.stream)
+        assert eng.outputs == msf_kruskal_outputs(inst.stream, inst.payload_registry)
 
 
 def test_msf_window_sparsifier_soundness():
@@ -167,7 +249,7 @@ def test_msf_window_sparsifier_soundness():
 
     def msf_weight_at(mem, day):
         alive = [edge for edge in mem.edges if alive_on(eng.schedule, edge[1], day)]
-        _, w = _kruskal(alive)
+        w, _ = kruskal(alive)
         return w + mem.acc_weight
 
     tree = eng.tree
