@@ -13,8 +13,9 @@ failure it may be dropped for.
 
 The boosting loop doubles its horizon guess whenever the stream reaches it,
 rebuilding L fresh independent instances (L from both log of the horizon
-guess and log of the ground-set size, with a configurable cap) and
-replaying all previously seen events through a fresh backstop.
+guess and log of the ground-set size, with a configurable cap) under a
+fresh backstop.  Each new instance starts at today: the events seen so far
+are folded into its schedule as realized records, and none is replayed.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class SteppableEngine:
     one unit, regardless of chunk size.  ``engine`` is an ``Engine`` or
     anything else with a unit-yielding ``process_day`` and an ``outputs``
     list, such as a ``RecomputeBackstop``.  Given ``predictions``, the
-    engine first ingests them, which computes its whole tree; without, it
-    computes each window on its start day.
+    engine first ingests them, which computes every window that has not
+    ended; without, it computes each window on its start day.
     """
 
     def __init__(self, engine: Engine, predictions: list[Prediction] | None = None):
@@ -128,6 +129,10 @@ class BoostConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch of ``boost_run``: its horizon guess, its instance count,
+    and ``replayed``, the number of past days folded into each new
+    instance's schedule (the name is kept; no day is replayed)."""
+
     horizon_guess: int
     L: int
     replayed: int
@@ -145,9 +150,12 @@ def boost_run(
 
     On each doubling day the bundle indexed by the doubled guess's log is
     ingested (or the last available one), so its earliest predictions span
-    the doubled horizon; L fresh independent instances are built for the
-    doubled guess, and all previously seen events replay through a new
-    backstop before live traffic resumes.
+    the doubled horizon.  L fresh independent instances are built for the
+    doubled guess under a new backstop, and each ``resume``s after the
+    events seen so far before its first step: they become realized records
+    of its schedule, its ingest computes only the windows that have not
+    ended, and today is its first live day.  ``engine_factory`` returns a
+    ``SteppableEngine`` over an ``Engine``.
     """
     horizon_guess = 1
     meta: Backstop | None = None
@@ -171,11 +179,11 @@ def boost_run(
                 engine_factory(horizon_guess, usable, config.seed + 7919 * len(epochs) + i)
                 for i in range(L)
             ]
+            for instance in instances:
+                instance.engine.resume(history)
             meta = Backstop(instances)
             if log:
                 log(f"#epoch T^={horizon_guess} L={L} L_uncapped={l_uncapped}")
-            for past_day, past_ev in history:
-                meta.feed(past_day, past_ev)
             epochs.append(EpochStats(horizon_guess, L, replayed=len(history)))
         history.append((day, ev))
         outputs.append(meta.feed(day, ev))

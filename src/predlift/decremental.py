@@ -27,7 +27,10 @@ from .incremental import lift_incremental
 class DecrementalContract(Protocol):
     """The pluggable worst-case decremental algorithm: ``initialize`` on
     the whole predicted set, then ``delete``, ``clone`` and
-    ``output(state)``, whose answer depends on the state alone."""
+    ``output(state)``, whose answer depends on the state alone.
+    ``initialize`` gets the set as (element, value) pairs in the order its
+    elements joined it: the predicted set's order, then each element
+    admitted from outside it, in the order of admission."""
 
     def initialize(self, items: list[tuple[str, int]], capacity: int) -> tuple[Any, int]: ...
 
@@ -50,7 +53,7 @@ class _AntiContract:
         self.T = T
 
     def init(self):
-        items = sorted((el, payload[0]) for el, payload in self.ground.items())
+        items = [(el, payload[0]) for el, payload in self.ground.items()]
         return self.contract.initialize(items, self.T)
 
     def insert(self, state, anti_element, payload):

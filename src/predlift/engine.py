@@ -211,11 +211,14 @@ class Engine:
     built at its first compute.  A window is live from its first compute
     on, and only live windows whose last day has not passed and that a
     moved record reaches are recomputed; an ended window keeps its last
-    memory, which nothing reads.  Ingesting predictions computes the whole
-    tree; in an engine given none, each window goes live on its start day.
+    memory, which nothing reads.  Ingesting predictions computes every
+    window that has not ended, which in a fresh engine is the whole tree;
+    in an engine given none, each window goes live on its start day.
     Insertions that arrive carrying a predicted deletion day (the
     deletion-predicted and decremental settings) are for the latter, and
-    only for a ``LiftedIncremental`` problem.
+    only for a ``LiftedIncremental`` problem.  An engine that ``resume``s
+    after a realized history starts on the day after it, and its
+    ``outputs`` start at that first live day.
     """
 
     def __init__(
@@ -242,26 +245,61 @@ class Engine:
 
     # -- preprocessing -----------------------------------------------------
 
+    def resume(self, history: list[tuple[int, Event]]) -> None:
+        """Start a fresh engine after the realized events of days 1, 2, ...
+        in ``history``: each goes into the schedule as a realized record on
+        its day, with its payload, and ``current_day`` becomes the last of
+        those days.  The next ``ingest_predictions`` folds them in, so
+        nothing is replayed and ``outputs`` start at the first live day.
+        Raises ``ScheduleBug`` once the engine has started, or when the
+        history is not a stream (a day out of order, a lifetime reused, a
+        deletion of a never-inserted element)."""
+        if self.current_day or self.memory[0] is not None:
+            raise ScheduleBug("only a fresh engine can resume")
+        for day, event in history:
+            self.check_day(day)
+            if event.kind == DELETE and (event.element, INSERT) not in self.schedule.by_key:
+                raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
+            self.schedule.add(event.element, event.kind, day, realized=True)
+            if event.payload:
+                self.schedule.payloads[event.element] = event.payload
+            self.current_day = day
+
     def ingest_predictions(self, predictions: list[Prediction]) -> Iterator[int]:
         """Convert raw predictions into a feasible schedule (harmonic online
-        matching plus the insert-before-delete ordering fix) and compute the
-        whole tree once, in node-id order: each parent before its children."""
+        matching plus the insert-before-delete ordering fix) and compute,
+        in node-id order and so each parent before its children, every
+        window that has not ended: the whole tree in a fresh engine.
+
+        After ``resume``, the slot line first takes the past days, a
+        prediction of a lifetime the history realized is dropped, and the
+        realized insertions go into the ordering fix as exact predictions
+        of themselves, so a predicted deletion of an element inserted in
+        the past is matched to that insertion, not parked past the
+        horizon."""
         live = [p for p in predictions if not p.is_sentinel]
         seen = set()
         for p in live:
             if p.event.key in seen:
                 raise ScheduleBug(f"prediction file reuses lifetime {p.event.key}")
             seen.add(p.event.key)
+        live = [p for p in live if p.event.key not in self.schedule.by_key]
+        past = [Prediction(Event(el, INSERT), day) for el, day in self.schedule.ins_day.items()]
         before = self._slotline.ops
+        for day in range(1, self.current_day + 1):
+            self._slotline.take(day)
         days = [self._slotline.assign_harmonic(p.predicted_day, self._rng) for p in live]
-        assignment = fix_ordering(Assignment(live, days, self.T))
+        assignment = fix_ordering(
+            Assignment(past + live, [p.predicted_day for p in past] + days, self.T)
+        )
         ops = self._slotline.ops - before
         self.counters.scheduler_ops += ops
         yield max(1, ops)
-        for p, day in zip(assignment.predictions, assignment.days):
+        for p, day in zip(live, assignment.days[len(past) :]):
             self.schedule.add(p.event.element, p.event.kind, min(day, self.T + 1))
         for nid in range(self.tree.n_nodes()):
-            yield self._recompute(nid, "preprocess")
+            if self.tree.end[nid] > self.current_day:
+                yield self._recompute(nid, "preprocess")
 
     def preload_day0(self, elements: list[str]) -> None:
         """Record elements present before day 1 (realized pre-horizon

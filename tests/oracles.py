@@ -6,19 +6,24 @@ window's span, an element's liveness on a day read from a schedule, an
 engine's state in comparable form, an engine that repairs each moved
 record's span on its own, the live windows that differ from a fresh
 top-down compute, records of the window computes that run after the
-window's last day and of those a retrigger runs, a minimum spanning forest
-by plain Kruskal, and an MSF window computed pass by pass."""
+window's last day and of those a retrigger runs, the boosting loop that
+brings each new epoch's instances up to today by replaying every past day,
+a steppable engine that counts its steps, a record of the backstops built,
+a minimum spanning forest by plain Kruskal, and an MSF window computed
+pass by pass."""
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
 from math import ceil, log2
+from typing import Any
 
 import numpy as np
 
+from predlift.boosting import Backstop, BoostConfig, SteppableEngine
 from predlift.engine import Engine, WindowCtx
-from predlift.model import DELETE, INSERT, Prediction
+from predlift.model import DELETE, INSERT, Event, Prediction
 from predlift.problems import ConnectivityContract, MsfGraph
 from predlift.scheduling import Assignment, SlotLine
 from predlift.timetree import PartitionTree
@@ -315,6 +320,76 @@ def ended_window_computes():
         yield ended
     finally:
         Engine._recompute = recompute
+
+
+# -- boosting -------------------------------------------------------------------
+
+
+def replay_boost_run(engine_factory, bundles, stream, ground_size, config: BoostConfig):
+    """``boost_run`` with each new epoch's instances brought up to today by
+    replay: a fresh engine ingests its bundle, which computes its whole
+    tree, and then every past day is fed through the new backstop, its
+    answers thrown away.  The epochs, bundles, instance counts and seeds are
+    ``boost_run``'s.  Returns the daily outputs and the epochs as
+    ``(horizon guess, L, days replayed)``."""
+    horizon_guess = 1
+    meta = None
+    history: list[tuple[int, Event]] = []
+    outputs: list[Any] = []
+    epochs: list[tuple[int, int, int]] = []
+    for day, ev in stream:
+        if day >= horizon_guess:
+            idx = horizon_guess.bit_length()
+            while idx > 1 and idx not in bundles:
+                idx -= 1
+            bundle = bundles.get(idx, [])
+            horizon_guess *= 2
+            l_uncapped = max(
+                config.k * max(1, ceil(log2(horizon_guess))),
+                ceil(log2(max(2, ground_size))),
+            )
+            L = max(1, min(l_uncapped, config.instances_cap))
+            usable = [p for p in bundle if not p.is_sentinel and p.predicted_day <= horizon_guess]
+            instances = [
+                engine_factory(horizon_guess, usable, config.seed + 7919 * len(epochs) + i)
+                for i in range(L)
+            ]
+            meta = Backstop(instances)
+            for past_day, past_ev in history:
+                meta.feed(past_day, past_ev)
+            epochs.append((horizon_guess, L, len(history)))
+        history.append((day, ev))
+        outputs.append(meta.feed(day, ev))
+    return outputs, epochs
+
+
+class CountingSteppable(SteppableEngine):
+    """SteppableEngine that also counts the steps that spent a unit."""
+
+    steps_taken = 0
+
+    def step(self):
+        if not self.is_complete():
+            self.steps_taken += 1
+        super().step()
+
+
+@contextmanager
+def backstops_built():
+    """Record, while the block runs, every ``Backstop`` built: a list in
+    the order of construction.  ``Backstop.__init__`` is restored on exit."""
+    built: list[Backstop] = []
+    init = Backstop.__init__
+
+    def recording(meta, algorithms):
+        init(meta, algorithms)
+        built.append(meta)
+
+    Backstop.__init__ = recording
+    try:
+        yield built
+    finally:
+        Backstop.__init__ = init
 
 
 # -- minimum spanning forest --------------------------------------------------

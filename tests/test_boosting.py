@@ -1,5 +1,6 @@
 """Backstop composition and the guess-and-double boosting loop."""
 
+from oracles import CountingSteppable
 from predlift.boosting import (
     Backstop,
     BoostConfig,
@@ -40,17 +41,6 @@ class SyntheticAlgorithm:
 
     def current_output(self):
         return self._day
-
-
-class CountingSteppable(SteppableEngine):
-    """SteppableEngine that also counts the steps that spent a unit."""
-
-    steps_taken = 0
-
-    def step(self):
-        if not self.is_complete():
-            self.steps_taken += 1
-        super().step()
 
 
 def counter_instance(T, sigma=5, seed=3):

@@ -8,7 +8,10 @@ day.  The walk recomputes exactly the windows a day's moves touch, and its
 work stays within the paper's bound in the l1 error for lifted incremental
 problems.  After every day, every window that can still be read answers as
 a fresh compute on the current schedule.  Every MSF window compute equals
-the pass-by-pass reference window."""
+the pass-by-pass reference window.  A boosting epoch's new engines start at
+today: they answer as engines that replay the past days, for no more work,
+and read past payloads from the events.  A backstop takes at most N times
+its cheapest constituent's steps, plus N per day."""
 
 from itertools import product
 from math import log2
@@ -17,10 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CountingSteppable,
     PerSpanEngine,
+    backstops_built,
     comparable,
     ended_window_computes,
     reference_msf_window,
+    replay_boost_run,
     retrigger_recomputes,
     stale_windows,
 )
@@ -129,6 +135,25 @@ def test_offline_problem_modes_match_oracle(problem, mode, data, T, seed):
     assert eng.counters.batch_max <= 2 * log2(T) + 4
 
 
+def boosted(problem, inst, seed, cap, run=boost_run, payloads=None):
+    """(daily outputs, engines built, backstops built) of ``run`` over the
+    bundles of ``inst``'s predictions.  ``payloads(T_hat)`` gives the
+    payload registry of an engine built for the horizon guess ``T_hat``,
+    the instance's whole registry when not given."""
+    bundles = {b.index: list(b.predictions) for b in make_bundles(inst.predictions, inst.T)}
+    engines = []
+
+    def factory(T_hat, preds, engine_seed):
+        registry = payloads(T_hat) if payloads else inst.payload_registry
+        engines.append(Engine(problem_impl(problem), T_hat, engine_seed, registry))
+        return SteppableEngine(engines[-1], preds)
+
+    config = BoostConfig(instances_cap=cap, seed=seed)
+    with backstops_built() as metas:
+        outputs, _ = run(factory, bundles, inst.stream, 8, config)
+    return outputs, engines, metas
+
+
 @settings(SETTINGS, max_examples=40)
 @given(
     problem=st.sampled_from(PROBLEMS),
@@ -142,18 +167,141 @@ def test_boosted_run_matches_oracle(problem, data, T, cap, seed):
     unknown to the run."""
     model = data.draw(error_models(T))
     inst = generate_offline_instance(problem, 8, T, model, seed)
-    bundles = {b.index: list(b.predictions) for b in make_bundles(inst.predictions, T)}
-
-    def factory(T_hat, preds, engine_seed):
-        engine = Engine(problem_impl(problem), T_hat, engine_seed, inst.payload_registry)
-        return SteppableEngine(engine, preds)
-
     with ended_window_computes() as ended:
-        outputs, _ = boost_run(
-            factory, bundles, inst.stream, 8, BoostConfig(instances_cap=cap, seed=seed)
-        )
+        outputs, _, _ = boosted(problem, inst, seed, cap)
     assert outputs == oracle_daily_outputs(problem, inst.stream)
     assert not ended
+
+
+def test_boosted_run_does_no_more_work_than_the_replay():
+    """A new epoch's instances start at today instead of replaying the
+    past days: the same daily outputs as ``oracles.replay_boost_run``, for
+    no more engine units and no more backstop steps.  Every problem and
+    error model, at two horizons, seeds 0-3; two instances per epoch at
+    T = 64, one at T = 200 to keep the stepping to seconds."""
+    models = [ErrorModel(kind, 16, 0.3 if kind == "drop" else 0.0) for kind in MODEL_KINDS]
+    for problem, model, T, seed in product(PROBLEMS, models, (64, 200), range(4)):
+        inst = generate_offline_instance(problem, 8, T, model, seed)
+        cap = 2 if T == 64 else 1
+        outputs, engines, metas = boosted(problem, inst, seed, cap)
+        want, replayed, replay_metas = boosted(problem, inst, seed, cap, run=replay_boost_run)
+        case = (problem, model.kind, T, seed)
+        assert outputs == want == oracle_daily_outputs(problem, inst.stream), case
+        units = sum(e.counters.total_units() for e in engines)
+        assert units <= sum(e.counters.total_units() for e in replayed), case
+        steps = sum(m.meta_steps for m in metas)
+        assert steps <= sum(m.meta_steps for m in replay_metas), case
+
+
+def test_boosted_engines_take_past_payloads_from_the_events():
+    """An engine built on a doubling day is given the payloads of that
+    day's and later insertions only, as predictions that carried them
+    would give them.  A past insertion's payload reaches it only through
+    the event folded into its schedule, and its windows read it at ingest:
+    the outputs still equal the oracle's."""
+    for problem, seed in product(("connectivity", "msf"), range(3)):
+        inst = generate_offline_instance(problem, 8, 100, ErrorModel("uniform", sigma=9), seed)
+
+        def payloads(T_hat):  # the first live day is half the horizon guess
+            today = T_hat // 2
+            return {ev.element: ev.payload for _, ev in inst.stream[today - 1 :] if ev.payload}
+
+        outputs, _, _ = boosted(problem, inst, seed, 2, payloads=payloads)
+        assert outputs == oracle_daily_outputs(problem, inst.stream), (problem, seed)
+
+
+def test_each_epoch_starts_its_engines_at_today(monkeypatch):
+    """Every engine a doubling day builds computes at ingest exactly the
+    windows that end on or after that day, once each, holds every past
+    event as a realized record on its day, and after its first live day
+    every window that can still be read answers as a fresh compute."""
+    computes = []
+    recompute = Engine._recompute
+
+    def recording(eng, nid, bucket):
+        computes.append((eng, eng.current_day, nid))
+        return recompute(eng, nid, bucket)
+
+    monkeypatch.setattr(Engine, "_recompute", recording)
+    for problem, seed in product(PROBLEMS, range(3)):
+        inst = generate_offline_instance(problem, 8, 100, ErrorModel("inject", sigma=100), seed)
+        bundles = {b.index: list(b.predictions) for b in make_bundles(inst.predictions, inst.T)}
+        built = []  # every instance, and its first live day: the doubled guess is twice it
+
+        def factory(T_hat, preds, engine_seed):
+            engine = Engine(problem_impl(problem), T_hat, engine_seed, inst.payload_registry)
+            built.append((SteppableEngine(engine, preds), T_hat // 2))
+            return built[-1][0]
+
+        def check_first_day(instance, first):
+            # the backstop may answer the day before this instance finishes it
+            while not instance.is_complete():
+                instance.step()
+            eng, case = instance.engine, (problem, seed, first)
+            tree = eng.tree
+            at_ingest = [nid for e, day, nid in computes if e is eng and day == first - 1]
+            assert at_ingest == [n for n in range(tree.n_nodes()) if tree.end[n] >= first], case
+            for day, ev in inst.stream[: first - 1]:
+                rec = eng.schedule.by_key[ev.key]
+                assert rec.realized and rec.day == day, case
+            assert eng.current_day == first and len(eng.outputs) == 1, case
+            assert not stale_windows(eng), case
+
+        def stream_checking_first_days():
+            checked = 0
+            for day, ev in inst.stream + [(inst.T + 1, None)]:
+                for instance, first in built[checked:]:
+                    if first < day:
+                        check_first_day(instance, first)
+                        checked += 1
+                if ev is not None:
+                    yield day, ev
+            assert checked == len(built)
+
+        config = BoostConfig(instances_cap=2, seed=seed)
+        outputs, epochs = boost_run(factory, bundles, stream_checking_first_days(), 8, config)
+        assert outputs == oracle_daily_outputs(problem, inst.stream)
+        assert len(built) == sum(e.L for e in epochs)
+
+
+def backstop_pair(problem, inst, seed):
+    """The CLI's backstopped mode: the engine over the instance's
+    predictions beside the from-scratch recompute, each counting its steps."""
+    eng = Engine(problem_impl(problem), inst.T, seed, payload_registry=inst.payload_registry)
+    backstop = RecomputeBackstop(
+        lambda active: oracle_answer(problem, active, inst.payload_registry)
+    )
+    return [CountingSteppable(eng, inst.predictions), CountingSteppable(backstop)]
+
+
+def steps_by_day(algorithms, stream, count):
+    """``count(meta)`` after each day of ``stream`` fed through a backstop
+    over ``algorithms``."""
+    meta = Backstop(algorithms)
+    counts = []
+    for day, ev in stream:
+        meta.feed(day, ev)
+        counts.append(count(meta))
+    return counts
+
+
+@settings(SETTINGS, max_examples=25)
+@given(problem=st.sampled_from(PROBLEMS), sigma=st.integers(0, 4 * 256), seed=seeds)
+def test_backstop_steps_within_robustness_bound(problem, sigma, seed):
+    """The backstop's robustness: through every day t, its N constituents
+    take at most N times the steps the cheaper one spends alone, plus N
+    per day.  For the CLI's engine and recompute pair, at l1 errors up to
+    4T."""
+    inst = generate_offline_instance(problem, 16, 256, ErrorModel("inject", sigma), seed)
+    alone = [
+        steps_by_day([algorithm], inst.stream, lambda meta: meta.algorithms[0].steps_taken)
+        for algorithm in backstop_pair(problem, inst, seed)
+    ]
+    pair = backstop_pair(problem, inst, seed)
+    meta_steps = steps_by_day(pair, inst.stream, lambda meta: meta.meta_steps)
+    n = len(pair)
+    for t, steps in enumerate(meta_steps, start=1):
+        assert steps <= n * min(a[t - 1] for a in alone) + n * t, (t, steps)
 
 
 @SETTINGS

@@ -131,6 +131,40 @@ def test_duplicate_lifetime_rejected():
     assert eng.outputs == [1, 2]
 
 
+def test_resumed_engine_starts_after_its_history():
+    """A resumed engine holds its history as realized records and drops the
+    predictions it realized.  With the rest exact, no retrigger fires, the
+    predicted deletion of an element inserted in the past included, and
+    its outputs start at its first live day."""
+    history = [(1, Event("a", INSERT)), (2, Event("b", INSERT))]
+    eng = Engine(lift_incremental(counter_contract()), 8, 1)
+    eng.resume(history)
+    assert eng.current_day == 2
+    predictions = [P("a", INSERT, 1), P("c", INSERT, 3), P("a", DELETE, 4)]
+    drain(eng.ingest_predictions(predictions))
+    drain(eng.process_day(3, Event("c", INSERT)))
+    drain(eng.process_day(4, Event("a", DELETE)))
+    assert eng.outputs == [3, 2]
+    assert eng.counters.retrigger_calls == 0
+
+
+def test_resume_needs_a_fresh_engine_and_a_stream():
+    history = [(1, Event("a", INSERT))]
+    with pytest.raises(ScheduleBug, match="fresh"):
+        make_engine(8, []).resume(history)  # ingested: its windows are live
+    eng = Engine(lift_incremental(counter_contract()), 8, 1)
+    drain(eng.process_day(1, Event("a", INSERT)))
+    with pytest.raises(ScheduleBug, match="fresh"):
+        eng.resume(history)
+    for bad in (
+        [(2, Event("a", INSERT))],
+        [(1, Event("a", DELETE))],
+        [(1, Event("a", INSERT)), (2, Event("a", INSERT))],
+    ):
+        with pytest.raises(ScheduleBug):
+            Engine(lift_incremental(counter_contract()), 8, 1).resume(bad)
+
+
 def test_batch_bound_holds():
     for seed in range(10):
         inst = generate_offline_instance(
