@@ -34,8 +34,6 @@ from .streamgen import (
 
 OFFLINE_PROBLEMS = ("counter", "connectivity", "msf")
 PROBLEMS = OFFLINE_PROBLEMS + ("decmax",)
-# payload fields an insertion needs: an edge's endpoints, its weight, a value
-PAYLOAD_FIELDS = {"counter": 0, "connectivity": 2, "msf": 3, "decmax": 1}
 MODES = ("predicted", "offline", "brute-force", "backstopped", "boosted")
 
 
@@ -72,7 +70,7 @@ def cmd_generate(args) -> int:
         print(f"# l1_error {err}")
         return 0
     if args.deletion_predicted:
-        items, registry, err = generate_deletion_predicted_stream(
+        items, err = generate_deletion_predicted_stream(
             args.problem, args.n, args.T, model, args.seed
         )
         fileio.write_deletion_predicted_stream(f"{args.out}.dstream", items)
@@ -95,24 +93,26 @@ class FileUsage(ValueError):
 def _check_payloads(problem: str, path: str, stream, predicted_set=(), predictions=()) -> None:
     """Every insertion, every element of a predicted set, and every predicted
     insertion in ``predictions`` carries the payload fields ``problem``
-    reads.  A prediction carries no payload: its element's comes from the
-    stream, so an element the stream never inserts with one has none."""
-    need = PAYLOAD_FIELDS[problem]
+    reads, and a predicted insertion reads as the stream's.  The library
+    rejects the same payloads; this check names the file."""
+    impl = decremental_max_contract() if problem == "decmax" else _problem_impl(problem)
+    need = impl.payload_fields
+    predicted = [p.event for p in predictions if p.event.kind == INSERT and not p.is_sentinel]
     short = [f"S {el}" for el, _, payload in predicted_set if len(payload) < need]
     short += [
         f"day {day} {ev.element}"
         for day, ev in stream
         if ev.kind == INSERT and len(ev.payload) < need
     ]
+    short += [f"predicted insertion of {ev.element}" for ev in predicted if len(ev.payload) < need]
     if short:
         raise FileUsage(f"{path}: {short[0]}: payload too short ({problem} reads {need} fields)")
-    registry = {ev.element: ev.payload for _, ev in stream if ev.kind == INSERT}
-    for p in predictions:
-        el = p.event.element
-        if p.event.kind == INSERT and not p.is_sentinel and len(registry.get(el, ())) < need:
+    realized = {ev.element: ev.payload[:need] for _, ev in stream if ev.kind == INSERT}
+    for ev in predicted:
+        if ev.element in realized and ev.payload[:need] != realized[ev.element]:
             raise FileUsage(
-                f"{path}: predicted insertion of {el} has no payload in the stream "
-                f"({problem} reads {need} fields)"
+                f"{path}: predicted insertion of {ev.element}: payload {ev.payload[:need]}, "
+                f"the stream's {realized[ev.element]} ({problem} reads {need} fields)"
             )
 
 
@@ -123,15 +123,14 @@ def _run_offline_problem(args, stream):
     predictions = fileio.read_predictions(args.pred) if args.pred else []
     if args.mode in ("predicted", "backstopped"):
         _check_payloads(args.problem, args.pred, stream, predictions=predictions)
-    registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
     T = len(stream)
     if args.mode == "offline":
         eng = run_offline(problem, T, stream, args.seed)
     elif args.mode == "predicted":
-        eng = run_predicted(problem, T, predictions, stream, args.seed, payload_registry=registry)
+        eng = run_predicted(problem, T, predictions, stream, args.seed)
     elif args.mode == "backstopped":
-        eng = Engine(problem, T, args.seed, payload_registry=registry)
-        backstop = RecomputeBackstop(lambda active: oracle_answer(args.problem, active, registry))
+        eng = Engine(problem, T, args.seed)
+        backstop = RecomputeBackstop(lambda active: oracle_answer(args.problem, active))
         stepped = SteppableEngine(eng, predictions)
         meta = Backstop([stepped, SteppableEngine(backstop)])
         for day, ev in stream:
@@ -156,9 +155,7 @@ def _run_offline_problem(args, stream):
         ground = {p.event.element for bs in bundles.values() for p in bs if not p.is_sentinel}
 
         def factory(T_hat, preds, seed):
-            return SteppableEngine(
-                Engine(_problem_impl(args.problem), T_hat, seed, payload_registry=registry), preds
-            )
+            return SteppableEngine(Engine(_problem_impl(args.problem), T_hat, seed), preds)
 
         outs, _ = boost_run(
             factory,
@@ -260,7 +257,6 @@ def cmd_bench(args) -> int:
                 inst.predictions,
                 inst.stream,
                 args.seed + s,
-                payload_registry=inst.payload_registry,
             )
             c = eng.counters
             rows.append(

@@ -30,7 +30,11 @@ class DecrementalContract(Protocol):
     ``output(state)``, whose answer depends on the state alone.
     ``initialize`` gets the set as (element, value) pairs in the order its
     elements joined it: the predicted set's order, then each element
-    admitted from outside it, in the order of admission."""
+    admitted from outside it, in the order of admission: each element's
+    value is the first field of its payload, of which the algorithm reads
+    ``payload_fields``."""
+
+    payload_fields: int
 
     def initialize(self, items: list[tuple[str, int]], capacity: int) -> tuple[Any, int]: ...
 
@@ -45,7 +49,10 @@ class _AntiContract:
     """IncrementalContract facade: inserting anti-e deletes e.  It holds the
     run's ``ground`` dict, which the run grows in place, and never the run:
     a reference back would make every run a cycle through its engine,
-    freed only by the cyclic collector."""
+    freed only by the cyclic collector.  An anti-element carries no
+    payload: its element's stays in ``ground``."""
+
+    payload_fields = 0
 
     def __init__(self, contract: DecrementalContract, ground: dict[str, tuple], T: int):
         self.contract = contract
@@ -66,12 +73,23 @@ class _AntiContract:
         return self.contract.output(state)
 
 
+def _check_payload(contract: DecrementalContract, element: str, payload: tuple) -> None:
+    if len(payload) < contract.payload_fields:
+        raise ScheduleBug(
+            f"element {element} carries payload {payload}, "
+            f"the problem reads {contract.payload_fields} fields"
+        )
+
+
 class DecrementalRun:
     """Drives one predicted-insertion instance end to end.
 
     ``predicted_set`` lists (element, predicted_insertion_day, payload) for
     the elements announced at the outset; payload[0] is the element's value
-    for the max problem (opaque to this adapter otherwise).
+    for the max problem (opaque to this adapter otherwise).  An element,
+    announced or admitted from outside the set, whose payload has fewer
+    than the contract's ``payload_fields`` fields is a ``ScheduleBug``,
+    raised before the run changes any state.
     """
 
     def __init__(
@@ -81,6 +99,8 @@ class DecrementalRun:
         T: int,
         seed: int,
     ):
+        for el, _, payload in predicted_set:
+            _check_payload(contract, el, payload)
         self.contract = contract
         self.T = T
         self.ground: dict[str, tuple] = {el: payload for el, day, payload in predicted_set}
@@ -97,12 +117,14 @@ class DecrementalRun:
 
     def process_day(self, day: int, ev: Event, reinsertion_day: int | None = None) -> Any:
         """Process the real event of ``day`` and return the day's answer.
-        Every ``ScheduleBug`` (a day out of order, a deletion of an absent
+        Every ``ScheduleBug`` (a day out of order, an element admitted from
+        outside the set with a short payload, a deletion of an absent
         element, or one the engine raises) is raised before the run or its
         engine changes any state."""
         self.engine.check_day(day)
         if ev.kind == INSERT:
             if ev.element not in self.ground:
+                _check_payload(self.contract, ev.element, ev.payload)
                 self._admit_new_element(ev)
             anti = self._anti(ev.element)
             drain(self.engine.process_day(day, Event(anti, DELETE)))

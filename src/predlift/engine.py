@@ -88,11 +88,11 @@ class Rec:
 
     __slots__ = ("element", "kind", "day", "i", "realized")
 
-    def __init__(self, element: str, kind: str, day: int, i: int = 0, realized: bool = False):
+    def __init__(self, element: str, kind: str, day: int, realized: bool = False):
         self.element = element
         self.kind = kind
         self.day = day
-        self.i = i
+        self.i = 0
         self.realized = realized
 
     def __repr__(self):
@@ -117,11 +117,11 @@ class Schedule:
         self.ins_day: dict[str, int] = {}
         self.del_day: dict[str, int] = {}
 
-    def add(self, element: str, kind: str, day: int, realized: bool = False, i: int = 0) -> Rec:
+    def add(self, element: str, kind: str, day: int, realized: bool = False) -> Rec:
         key = (element, kind)
         if key in self.by_key:
             raise ScheduleBug(f"duplicate lifetime for {key}")
-        rec = Rec(element, kind, day, i, realized)
+        rec = Rec(element, kind, day, realized)
         self.by_key[key] = rec
         self.days[min(day, self.T + 1)].append(rec)
         (self.ins_day if kind == INSERT else self.del_day)[element] = day
@@ -189,22 +189,31 @@ class WindowCtx:
 class Engine:
     """Fully dynamic run of a divide-and-conquer problem under predictions.
 
-    ``problem`` provides exactly two methods::
+    ``problem`` provides one attribute and two methods::
 
+        payload_fields -> how many payload fields the problem reads of an insertion
         compute_window(ctx, parent_memory) -> (memory, compute_units, clone_units)
                                               parent_memory is None for the root
         day_output(leaf_memory, ctx) -> the day's answer, read from its leaf
 
-    Both read the schedule only through the ``WindowCtx`` they are handed:
-    records through ``permanent_candidates`` and lifetimes through
-    ``lifetime_maps``.  What a window's memory answers, for its own days
-    and as its children's parent memory, must depend only on the elements
-    alive across the window and the events inside it.  A repair walk does
-    not recompute a window that no moved record reaches, even when it
-    recomputes its parent, so the kept memory, built from the parent's old
-    memory, must still answer as a fresh compute would, though it may
-    differ in form (a connectivity window keeps a union-find of another
-    shape).
+    Both methods read the schedule only through the ``WindowCtx`` they are
+    handed: records through ``permanent_candidates``, lifetimes through
+    ``lifetime_maps`` and an element's payload through ``payload``.  An
+    insertion's payload travels with it: a predicted insertion's on its
+    prediction, a realized one's on the day's event, a past one's on the
+    event ``resume`` folds in.  An insertion whose payload has fewer than
+    ``payload_fields`` fields is a ``ScheduleBug``, and so is a realized
+    insertion whose payload differs from its prediction's in those fields,
+    since the windows computed at ingest already read the predicted ones;
+    each is raised before any state changes.
+
+    What a window's memory answers, for its own days and as its children's
+    parent memory, must depend only on the elements alive across the window
+    and the events inside it.  A repair walk does not recompute a window
+    that no moved record reaches, even when it recomputes its parent, so
+    the kept memory, built from the parent's old memory, must still answer
+    as a fresh compute would, though it may differ in form (a connectivity
+    window keeps a union-find of another shape).
 
     ``memory[nid]`` holds a window's computed memory, or None while the
     window is not live, and ``contexts[nid]`` the window's ``WindowCtx``,
@@ -228,6 +237,12 @@ class Engine:
         seed: int,
         payload_registry: dict[str, tuple] | None = None,
     ):
+        """``payload_registry`` (element -> payload) has no effect: every
+        payload a window reads is overridden by the one its insertion
+        carries (a kept prediction's, a realized or resumed event's).  Its
+        one caller is the benchmark's ``PredictedRun.setup``
+        (``perfbench/workloads.py``); the parameter goes once that caller
+        stops passing it."""
         self.problem = problem
         self.T = T
         self.counters = WorkCounters()
@@ -253,15 +268,20 @@ class Engine:
         nothing is replayed and ``outputs`` start at the first live day.
         Raises ``ScheduleBug`` once the engine has started, or when the
         history is not a stream (a day out of order, a lifetime reused, a
-        deletion of a never-inserted element)."""
+        deletion of a never-inserted element) or holds an insertion whose
+        payload is too short for the problem."""
         if self.current_day or self.memory[0] is not None:
             raise ScheduleBug("only a fresh engine can resume")
+        need = self.problem.payload_fields
         for day, event in history:
             self.check_day(day)
-            if event.kind == DELETE and (event.element, INSERT) not in self.schedule.by_key:
-                raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
+            if event.kind == DELETE:
+                if (event.element, INSERT) not in self.schedule.by_key:
+                    raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
+            elif len(event.payload) < need:
+                raise ScheduleBug(_short_payload(f"day {day}: insertion", event, need))
             self.schedule.add(event.element, event.kind, day, realized=True)
-            if event.payload:
+            if event.payload and event.kind == INSERT:
                 self.schedule.payloads[event.element] = event.payload
             self.current_day = day
 
@@ -276,14 +296,21 @@ class Engine:
         realized insertions go into the ordering fix as exact predictions
         of themselves, so a predicted deletion of an element inserted in
         the past is matched to that insertion, not parked past the
-        horizon."""
+        horizon.  Each kept predicted insertion brings its payload; a
+        ``ScheduleBug`` for a reused lifetime or a payload too short for
+        the problem is raised before any state changes."""
         live = [p for p in predictions if not p.is_sentinel]
         seen = set()
+        by_key = self.schedule.by_key
+        need = self.problem.payload_fields
         for p in live:
-            if p.event.key in seen:
-                raise ScheduleBug(f"prediction file reuses lifetime {p.event.key}")
-            seen.add(p.event.key)
-        live = [p for p in live if p.event.key not in self.schedule.by_key]
+            key = p.event.key
+            if key in seen:
+                raise ScheduleBug(f"prediction file reuses lifetime {key}")
+            seen.add(key)
+            if len(p.event.payload) < need and key[1] == INSERT and key not in by_key:
+                raise ScheduleBug(_short_payload("predicted insertion", p.event, need))
+        live = [p for p in live if p.event.key not in by_key]
         past = [Prediction(Event(el, INSERT), day) for el, day in self.schedule.ins_day.items()]
         before = self._slotline.ops
         for day in range(1, self.current_day + 1):
@@ -295,8 +322,12 @@ class Engine:
         ops = self._slotline.ops - before
         self.counters.scheduler_ops += ops
         yield max(1, ops)
+        payloads = self.schedule.payloads
         for p, day in zip(live, assignment.days[len(past) :]):
-            self.schedule.add(p.event.element, p.event.kind, min(day, self.T + 1))
+            ev = p.event
+            self.schedule.add(ev.element, ev.kind, min(day, self.T + 1))
+            if ev.payload and ev.kind == INSERT:
+                payloads[ev.element] = ev.payload
         for nid in range(self.tree.n_nodes()):
             if self.tree.end[nid] > self.current_day:
                 yield self._recompute(nid, "preprocess")
@@ -470,14 +501,33 @@ class Engine:
         so a lifted incremental problem has none holding the new element.
         Where that does not hold (today's leaf is already live because the
         engine ingested predictions, or the problem's windows depend on
-        more than their permanents) the insertion is a ``ScheduleBug``."""
+        more than their permanents) the insertion is a ``ScheduleBug``.
+
+        After day 1 the root must be live: an engine that ``resume``d and
+        never ingested predictions has no windows above today's to build
+        on, so its days are a ``ScheduleBug`` too."""
         online = predicted_deletion_day is not None and event.kind == INSERT
         rec = self.schedule.by_key.get(event.key)
+        need = self.problem.payload_fields
         self.check_day(day)
+        if day > 1 and self.memory[0] is None:
+            raise ScheduleBug(f"day {day}: no live root (a resumed engine must ingest first)")
         if event.kind == DELETE:
             ins = self.schedule.by_key.get((event.element, INSERT))
             if ins is None or not ins.realized:
                 raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
+        elif len(event.payload) < need:
+            raise ScheduleBug(_short_payload(f"day {day}: insertion", event, need))
+        elif (
+            rec is not None
+            and not rec.realized
+            and event.payload != (predicted := self.schedule.payloads.get(event.element, ()))
+            and event.payload[:need] != predicted[:need]
+        ):
+            raise ScheduleBug(
+                f"day {day}: insertion of {event.element} carries payload {event.payload}, "
+                f"its prediction {predicted}"
+            )
         elif online and not isinstance(self.problem, LiftedIncremental):
             raise ScheduleBug(
                 f"day {day}: online insertion of {event.element} needs a lifted "
@@ -497,7 +547,7 @@ class Engine:
         self.current_day = day
         self.counters.day_overhead += 1
         yield 1
-        if event.payload:
+        if event.payload and event.kind == INSERT:
             self.schedule.payloads[event.element] = event.payload
 
         spans = []
@@ -540,6 +590,13 @@ class Engine:
         return self.problem.day_output(self.memory[nid], self.contexts[nid])
 
 
+def _short_payload(what: str, event: Event, need: int) -> str:
+    return (
+        f"{what} of {event.element} carries payload {event.payload}, "
+        f"the problem reads {need} fields"
+    )
+
+
 def drain(gen: Iterator[int]) -> int:
     """Run a unit-yielding generator to completion; returns units seen."""
     total = 0
@@ -554,10 +611,9 @@ def run_predicted(
     predictions: list[Prediction],
     stream: list[tuple[int, Event]],
     seed: int,
-    payload_registry: dict[str, tuple] | None = None,
 ) -> Engine:
     """Convenience driver: preprocess, then process the whole stream."""
-    eng = Engine(problem, T, seed, payload_registry=payload_registry)
+    eng = Engine(problem, T, seed)
     drain(eng.ingest_predictions(predictions))
     for day, ev in stream:
         drain(eng.process_day(day, ev))
@@ -566,7 +622,7 @@ def run_predicted(
 
 def run_offline(problem, T: int, stream: list[tuple[int, Event]], seed: int) -> Engine:
     """Pure offline divide-and-conquer run: the realized stream is its own
-    exact prediction, so no handler fires and the tree is computed once."""
+    exact prediction, payloads included, so no handler fires and the tree
+    is computed once."""
     predictions = [Prediction(ev, day) for day, ev in stream]
-    registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
-    return run_predicted(problem, T, predictions, stream, seed, payload_registry=registry)
+    return run_predicted(problem, T, predictions, stream, seed)

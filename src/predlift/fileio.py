@@ -4,7 +4,7 @@ All files are ASCII, one record per line, fields separated by single
 spaces.  Blank lines and lines starting with ``#`` (metadata) are skipped,
 except a bundle file's ``#bundle`` headers.
 
-prediction file     ``element kind predicted_day``        kind in {I, D}
+prediction file     ``element kind predicted_day [payload...]``  kind in {I, D}
 realized stream     ``day element kind [payload...]``
 bundle file         ``#bundle <index> <delivery_day>`` followed by
                     prediction lines; ``inf`` marks sentinel padding
@@ -15,13 +15,18 @@ instance            lines, then a realized stream of ``day I element
                     [payload...]`` and ``day D element reinsertion_day``
                     lines, the reinsertion day possibly ``never``
 
+A prediction carries the payload of the event it predicts, as the stream
+line of that event does; a deletion carries none, and a problem that reads
+no payload (the counter) has prediction lines of three fields.
+
 Each reader rejects, with a ``FormatError`` naming ``path:line``, what its
 writer never writes: a record with more or fewer fields than its grammar
-(only a payload may add fields), a kind other than ``I``/``D``, a day or
-payload field that is not an integer (a day may be ``inf``), stream days
-that do not run 1, 2, 3, ... (exactly one real event per day), a bundle
-file's prediction line before its first ``#bundle`` header, and an
-instance's ``S`` line after its first stream line.
+(only an insertion's payload may add fields), a kind other than ``I``/``D``,
+a day or payload field that is not an integer (a day may be ``inf``), stream
+days that do not run 1, 2, 3, ... (exactly one real event per day), a bundle
+file's prediction line before its first ``#bundle`` header, a ``#bundle``
+header of other than three fields, and an instance's ``S`` line after its
+first stream line.
 """
 
 from __future__ import annotations
@@ -93,18 +98,26 @@ def _payload_str(payload: tuple) -> str:
 
 def _parse_payload(tokens: list[str], path: str, lineno: int) -> tuple:
     try:
-        return tuple(int(t) for t in tokens)
+        return tuple(map(int, tokens))
     except ValueError:
         raise FormatError(path, lineno, f"bad payload {tokens!r}") from None
 
 
 def _prediction_str(p: Prediction) -> str:
-    return f"{p.event.element} {p.event.kind} {_day_str(p.predicted_day)}\n"
+    ev = p.event
+    return f"{ev.element} {ev.kind} {_day_str(p.predicted_day)}{_payload_str(ev.payload)}\n"
+
+
+def _parse_event(element: str, kind: str, payload: list[str], path: str, lineno: int) -> Event:
+    kind = _kind(kind, path, lineno)
+    if kind == DELETE and payload:
+        raise FormatError(path, lineno, "a deletion carries no payload")
+    return Event(element, kind, _parse_payload(payload, path, lineno))
 
 
 def _parse_prediction(parts: list[str], path: str, lineno: int) -> Prediction:
-    kind = _kind(parts[1], path, lineno)
-    return Prediction(Event(parts[0], kind), _parse_day(parts[2], path, lineno))
+    event = _parse_event(parts[0], parts[1], parts[3:], path, lineno)
+    return Prediction(event, _parse_day(parts[2], path, lineno))
 
 
 def write_predictions(path: str, predictions: Iterable[Prediction], meta: dict | None = None):
@@ -115,7 +128,10 @@ def write_predictions(path: str, predictions: Iterable[Prediction], meta: dict |
 
 
 def read_predictions(path: str) -> list[Prediction]:
-    return [_parse_prediction(parts, path, lineno) for lineno, parts in _records(path, 3)]
+    return [
+        _parse_prediction(parts, path, lineno)
+        for lineno, parts in _records(path, 3, payload=True)
+    ]
 
 
 def write_stream(path: str, events: Iterable[tuple[int, Event]]):
@@ -128,8 +144,7 @@ def read_stream(path: str) -> list[tuple[int, Event]]:
     events = []
     for lineno, parts in _records(path, 3, payload=True):
         day = _stream_day(parts[0], events, path, lineno)
-        kind = _kind(parts[2], path, lineno)
-        events.append((day, Event(parts[1], kind, _parse_payload(parts[3:], path, lineno))))
+        events.append((day, _parse_event(parts[1], parts[2], parts[3:], path, lineno)))
     return events
 
 
@@ -142,8 +157,9 @@ def write_bundles(path: str, bundles: Iterable[PredictionBundle]):
 
 def read_bundles(path: str) -> list[PredictionBundle]:
     heads: list[tuple[int, int, list[Prediction]]] = []
-    for lineno, parts in _records(path, 3, marker="#bundle"):
+    for lineno, parts in _records(path, 3, payload=True, marker="#bundle"):
         if parts[0] == "#bundle":
+            _arity(parts, 3, path, lineno)
             try:
                 heads.append((int(parts[1]), int(parts[2]), []))
             except ValueError:

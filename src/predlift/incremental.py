@@ -31,7 +31,10 @@ if TYPE_CHECKING:  # the engine imports this module
 
 class IncrementalContract(Protocol):
     """The pluggable worst-case incremental algorithm: four methods, and the
-    answer depends on the state alone."""
+    answer depends on the state alone.  ``insert`` reads the first
+    ``payload_fields`` fields of an element's payload."""
+
+    payload_fields: int
 
     def init(self) -> tuple[Any, int]:
         """Fresh empty state plus the units spent building it.  A state is
@@ -71,6 +74,7 @@ class LiftedIncremental:
 
     def __init__(self, contract: IncrementalContract):
         self.contract = contract
+        self.payload_fields = contract.payload_fields
 
     def compute_window(self, ctx: WindowCtx, parent_memory: Any):
         if parent_memory is None:

@@ -45,7 +45,7 @@ class Event:
 
 @dataclass(frozen=True)
 class Prediction:
-    """A claimed day for an event."""
+    """A claimed day for an event, which carries its payload."""
 
     event: Event
     predicted_day: int
@@ -79,7 +79,7 @@ class BundleViolation(ValueError):
 
 
 def _bundle_key(p: Prediction) -> tuple:
-    return (p.event.element, p.event.kind, p.predicted_day)
+    return (p.event.element, p.event.kind, p.predicted_day, p.event.payload)
 
 
 def validate_bundle_sequence(bundles: Sequence[PredictionBundle]) -> bool:

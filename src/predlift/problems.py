@@ -26,6 +26,8 @@ from .model import INSERT, Event
 class CounterContract:
     """Active-element count; insert cost exactly 1 unit."""
 
+    payload_fields = 0
+
     def init(self):
         return [0], 1
 
@@ -50,7 +52,10 @@ def counter_contract() -> CounterContract:
 class ConnectivityContract:
     """Union by rank without path compression: O(log n) worst-case insert,
     so the lifted divide-and-conquer meets the worst-case update-time
-    requirement.  State is (parent, rank) dicts over vertices."""
+    requirement.  State is (parent, rank) dicts over vertices.  An edge's
+    payload is its endpoints (u, v)."""
+
+    payload_fields = 2
 
     def init(self):
         return ({}, {}), 1
@@ -104,7 +109,10 @@ def connectivity_contract() -> ConnectivityContract:
 
 class DecrementalMaxContract:
     """Ordered multiset of (value, element) pairs; worst-case-logarithmic
-    locate per deletion.  Output is the current max value (None if empty)."""
+    locate per deletion.  Output is the current max value (None if empty).
+    An element's payload is its value (value,)."""
+
+    payload_fields = 1
 
     def initialize(self, items: list[tuple[str, int]], capacity: int):
         pairs = sorted((value, element) for element, value in items)
@@ -206,8 +214,11 @@ class MsfProblem:
     so every pass reads edges sorted.  A window pays only for the passes
     its edges need: with no permanents its edges are its volatiles as they
     come, and with permanents but none contracted they are the kept
-    permanents merged with the volatiles, with no relabel.
+    permanents merged with the volatiles, with no relabel.  An edge's
+    payload is (u, v, w).
     """
+
+    payload_fields = 3
 
     def compute_window(self, ctx: WindowCtx, parent: MsfGraph | None):
         s, e = ctx.start, ctx.end
@@ -220,8 +231,6 @@ class MsfProblem:
                 if ins > e or del_get(el, never) < s:
                     continue  # never alive in the span: no payload needed
                 payload = ctx.payload(el)
-                if len(payload) < 3:
-                    raise ValueError(f"edge {el} has no (u, v, w) payload")
                 if payload[0] == payload[1]:
                     loops += 1  # in no spanning forest, but charged as an edge
                     continue
@@ -353,35 +362,28 @@ def _bfs_components(edges: list[tuple[int, int]]):
     return tuple(sorted(comps))
 
 
-def oracle_answer(problem: str, active: dict[str, tuple], registry: dict[str, tuple]):
+def oracle_answer(problem: str, active: dict[str, tuple]):
     """One day's answer recomputed from scratch from the active elements and
-    their payloads (``registry`` fills in payloads the events did not carry).
-    Independent of the engine's data structures."""
-    payload = lambda el: active[el] or registry.get(el, ())
+    their payloads.  Independent of the engine's data structures."""
     if problem == "counter":
         return len(active)
     if problem == "connectivity":
-        return _bfs_components([(payload(el)[0], payload(el)[1]) for el in active])
+        return _bfs_components([(p[0], p[1]) for p in active.values()])
     if problem == "msf":
-        edges = [(payload(el)[2], el, payload(el)[0], payload(el)[1]) for el in active]
+        edges = [(p[2], el, p[0], p[1]) for el, p in active.items()]
         picked, weight = _kruskal(edges)
         return (weight, tuple(sorted(eid for _, eid, _, _ in picked)))
     if problem == "decmax":
-        return max((payload(el)[0] for el in active), default=None)
+        return max((p[0] for p in active.values()), default=None)
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def oracle_daily_outputs(
-    problem: str,
-    stream: list[tuple[int, Event]],
-    payload_registry: dict[str, tuple] | None = None,
-) -> list:
+def oracle_daily_outputs(problem: str, stream: list[tuple[int, Event]]) -> list:
     """From-scratch recomputation of every day's answer from the true
     active set."""
-    registry = payload_registry or {}
     active = ActiveSet()
     outs = []
     for day, ev in stream:
         active.apply(day, ev)
-        outs.append(oracle_answer(problem, active.items, registry))
+        outs.append(oracle_answer(problem, active.items))
     return outs

@@ -4,8 +4,9 @@ models.
 Realized streams are always feasible: exactly one real event per day,
 deletions only of currently active elements, element ids unique per
 lifetime.  Predictions are derived from the realized stream and perturbed
-per the error model; the exact l1 error of the generated pair is computed
-and stored in the prediction file's metadata.
+per the error model: each predicts a realized event, its payload included,
+and only its day is perturbed.  The exact l1 error of the generated pair is
+computed and stored in the prediction file's metadata.
 
 Error models: ``exact``; ``uniform`` (offset uniform on [-sigma, sigma]);
 ``heavy`` (heavy-tailed offsets); ``drop`` (a rho fraction of events is
@@ -43,7 +44,6 @@ class Instance:
     T: int
     predictions: list[Prediction]
     stream: list[tuple[int, Event]]
-    payload_registry: dict[str, tuple]
     l1: int
     meta: dict
 
@@ -168,18 +168,17 @@ def _adversarial_uneven(problem: str, n: int, T: int, rng: random.Random) -> Ins
     half = T // 2
     for j in range(r):
         el = f"a{j}"
-        payload = _payload_for(problem, n, rng)
-        events[1 + j] = Event(el, INSERT, payload)
+        events[1 + j] = Event(el, INSERT, _payload_for(problem, n, rng))
         events[half - r + 1 + j] = Event(el, DELETE)
-        preds.append(Prediction(Event(el, INSERT), 1 + j))
-        preds.append(Prediction(Event(el, DELETE), half + 1 + j))
+        preds.append(Prediction(events[1 + j], 1 + j))
+        preds.append(Prediction(events[half - r + 1 + j], half + 1 + j))
     serial = 0
     for day in range(1, T + 1):
         if day not in events:
             el = f"f{serial}"
             serial += 1
             events[day] = Event(el, INSERT, _payload_for(problem, n, rng))
-            preds.append(Prediction(Event(el, INSERT), day))
+            preds.append(Prediction(events[day], day))
     stream = [(day, events[day]) for day in range(1, T + 1)]
     return _finish(problem, T, preds, stream, {"model": "adv-uneven"})
 
@@ -195,23 +194,21 @@ def _adversarial_even(problem: str, n: int, T: int, rng: random.Random) -> Insta
     preds: list[Prediction] = []
     for j in range(half):
         el = f"a{j}"
-        payload = _payload_for(problem, n, rng)
         ins_day, del_day = 2 * j + 1, 2 * j + 2
-        events[ins_day] = Event(el, INSERT, payload)
+        events[ins_day] = Event(el, INSERT, _payload_for(problem, n, rng))
         events[del_day] = Event(el, DELETE)
-        preds.append(Prediction(Event(el, INSERT), ins_day))
+        preds.append(Prediction(events[ins_day], ins_day))
         pred_del = del_day if j >= half - 2 else min(2 * j + 5, T)
-        preds.append(Prediction(Event(el, DELETE), pred_del))
+        preds.append(Prediction(events[del_day], pred_del))
     stream = [(day, events[day]) for day in range(1, T + 1)]
     return _finish(problem, T, preds, stream, {"model": "adv-even"})
 
 
 def _finish(problem, T, preds, stream, meta) -> Instance:
-    registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
     realized = [(ev, day) for day, ev in stream]
     err = l1_error(preds, realized, T)
     meta = dict(meta, l1_error=err, T=T, problem=problem)
-    return Instance(T, preds, stream, registry, err, meta)
+    return Instance(T, preds, stream, err, meta)
 
 
 def generate_offline_instance(
@@ -231,7 +228,7 @@ def generate_offline_instance(
         real_day[ev.key] = day
         pd = _perturb(day, T, model, rng)
         if pd is not None:
-            preds.append(Prediction(Event(ev.element, ev.kind), pd))
+            preds.append(Prediction(ev, pd))
     if model.kind == "inject":
         preds = _inject_l1(preds, real_day, model.sigma, T, rng)
     return _finish(problem, T, preds, stream, {"model": model.kind, "sigma": model.sigma,
@@ -240,11 +237,11 @@ def generate_offline_instance(
 
 def generate_deletion_predicted_stream(
     problem: str, n: int, T: int, model: ErrorModel, seed: int
-) -> tuple[list[tuple[int, Event, int | None]], dict[str, tuple], int]:
+) -> tuple[list[tuple[int, Event, int | None]], int]:
     """Predicted-deletion instance for an engine given no predictions:
     insertions carry a (perturbed) predicted deletion day; elements never
     deleted within the horizon predict the end of it.  Returns (stream
-    items, payload registry, l1 deletion error)."""
+    items, l1 deletion error)."""
     rng = random.Random(seed)
     stream = random_stream(problem, n, T, rng)
     del_day = {ev.element: day for day, ev in stream if ev.kind == DELETE}
@@ -268,8 +265,7 @@ def generate_deletion_predicted_stream(
     preds = [Prediction(Event(el, DELETE), d) for el, d in pred_of.items()]
     realized = [(ev, day) for day, ev in stream if ev.kind == DELETE]
     err = l1_error(preds, realized, T)
-    registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
-    return items, registry, err
+    return items, err
 
 
 def generate_insertion_predicted_instance(

@@ -113,7 +113,7 @@ def test_faulty_constituent_error_propagates():
 def test_recompute_backstop_charges_active_set_per_day():
     inst = generate_offline_instance("counter", 8, 512, ErrorModel("exact"), 5)
     backstop = SteppableEngine(
-        RecomputeBackstop(lambda active: oracle_answer("counter", active, {}))
+        RecomputeBackstop(lambda active: oracle_answer("counter", active))
     )
     outs, meta = backstop_run([backstop], inst.stream)
     want = oracle_daily_outputs("counter", inst.stream)

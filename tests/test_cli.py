@@ -190,16 +190,16 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert rc == 2, case
         assert "error:" in capsys.readouterr().err
         assert not caught, case  # rejected, not dropped from a backstop with a warning
-    # a predicted insertion of zz, which the stream never inserts, has no
-    # payload to read: rejected up front, naming the file and the element
+    # a predicted insertion of zz, which the stream never inserts, carries
+    # no payload to read: rejected up front, naming the file and the element
     edge_stream = tmp_path / "edges.stream"
     edge_stream.write_text("1 a I 0 1 5\n2 b I 1 2 3\n3 a D\n4 c I 0 2 1\n5 d I 2 3 4\n6 b D\n")
     phantom = tmp_path / "phantom.pred"
-    phantom.write_text("a I 1\nb I 2\na D 3\nc I 4\nd I 5\nzz I 5\n")
+    phantom.write_text("a I 1 0 1 5\nb I 2 1 2 3\na D 3\nc I 4 0 2 1\nd I 5 2 3 4\nzz I 5\n")
     phantom_bundles = tmp_path / "phantom.bundles"
     phantom_bundles.write_text(
-        "#bundle 1 1\na I 1\n#bundle 2 1\na I 1\nb I 2\n"
-        "#bundle 3 1\na I 1\nb I 2\na D 3\nzz I 5\n"
+        "#bundle 1 1\na I 1 0 1 5\n#bundle 2 1\na I 1 0 1 5\nb I 2 1 2 3\n"
+        "#bundle 3 1\na I 1 0 1 5\nb I 2 1 2 3\na D 3\nzz I 5\n"
     )
     phantom_cases = [
         *(
@@ -217,11 +217,39 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert rc == 2, (problem, case)
         err = capsys.readouterr().err
         assert case[1] in err and "zz" in err, (problem, case)
-    # the counter reads no payload, so the same predictions run
-    for case in (["--pred", str(phantom)], ["--bundles", str(phantom_bundles), "--mode", "boosted"]):
-        rc = main(["run", "--problem", "counter", "--stream", str(edge_stream), *case])
-        assert rc == 0, case
-        capsys.readouterr()
+    # the counter reads no payload, so the same predictions run, and so do
+    # predictions with no payloads at all over the same edge stream
+    bare = tmp_path / "bare.pred"
+    bare.write_text("a I 1\nb I 2\na D 3\nc I 4\nd I 5\nzz I 5\n")
+    bare_bundles = tmp_path / "bare.bundles"
+    bare_bundles.write_text(
+        "#bundle 1 1\na I 1\n#bundle 2 1\na I 1\nb I 2\n#bundle 3 1\na I 1\nb I 2\na D 3\nzz I 5\n"
+    )
+    for pred, bundles in ((phantom, phantom_bundles), (bare, bare_bundles)):
+        for case in (["--pred", str(pred)], ["--bundles", str(bundles), "--mode", "boosted"]):
+            rc = main(["run", "--problem", "counter", "--stream", str(edge_stream), *case])
+            assert rc == 0, case
+            capsys.readouterr()
+    # connectivity reads (u, v) of an MSF edge: predictions of two fields
+    # run over a stream of three, and answer as the stream's own do
+    pair = tmp_path / "pair.pred"
+    pair.write_text("a I 1 0 1\nb I 2 1 2\na D 3\nc I 4 0 2\nd I 5 2 3\n")
+    full = tmp_path / "full.pred"
+    full.write_text("a I 1 0 1 5\nb I 2 1 2 3\na D 3\nc I 4 0 2 1\nd I 5 2 3 4\n")
+    outs = []
+    for pred in (pair, full):
+        rc = main(["run", "--problem", "connectivity", "--stream", str(edge_stream),
+                   "--pred", str(pred)])
+        assert rc == 0, pred
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # a predicted (u, v) other than the stream's is rejected, naming the file
+    pair.write_text("a I 1 0 1\nb I 2 1 3\na D 3\nc I 4 0 2\nd I 5 2 3\n")
+    rc = main(["run", "--problem", "connectivity", "--stream", str(edge_stream),
+               "--pred", str(pair)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(pair) in err and "insertion of b" in err
     out = tmp_path / "bench.csv"
     assert main(["bench", "--seeds", "0", "--T", "16", "--out", str(out)]) == 2
     assert "--seeds" in capsys.readouterr().err
@@ -234,7 +262,7 @@ def test_msf_predicted_deletion_of_never_inserted_edge(tmp_path, capsys):
     stream = tmp_path / "msf.stream"
     stream.write_text("1 a I 0 1 5\n2 b I 1 2 3\n3 a D\n4 c I 0 2 1\n")
     pred = tmp_path / "msf.pred"
-    pred.write_text("a I 1\nb I 2\na D 3\nc I 4\nzz D 3\n")
+    pred.write_text("a I 1 0 1 5\nb I 2 1 2 3\na D 3\nc I 4 0 2 1\nzz D 3\n")
     rc = main(["run", "--problem", "msf", "--stream", str(stream), "--pred", str(pred)])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()

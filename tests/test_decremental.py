@@ -39,6 +39,29 @@ def run_state(run):
     return dict(run.ground), dict(run.generation), run.out_of_set_inserts, engine_state(run.engine)
 
 
+def test_short_payload_rejected_before_any_state_changes():
+    """The max reads an element's value from its payload.  An announced
+    element without one is rejected when the run is built; an insertion
+    from outside the set without one is rejected before the set grows or
+    the engine moves to its day, so the right day can still be fed."""
+    with pytest.raises(ScheduleBug, match="payload"):
+        DecrementalRun(decremental_max_contract(), [("a", 1, (5,)), ("b", 2, ())], 4, 0)
+    run = DecrementalRun(decremental_max_contract(), [("a", 1, (5,))], 4, 0)
+    run.process_day(1, Event("a", INSERT, (5,)))
+    before = run_state(run)
+    with pytest.raises(ScheduleBug, match="payload"):
+        run.process_day(2, Event("z", INSERT))
+    assert run_state(run) == before
+    stream = [
+        (1, Event("a", INSERT, (5,))),
+        (2, Event("z", INSERT, (9,))),
+        (3, Event("a", DELETE)),
+    ]
+    for day, ev in stream[1:]:
+        run.process_day(day, ev)
+    assert run.outputs == oracle_daily_outputs("decmax", stream) == [5, 9, 9]
+
+
 def test_out_of_set_insertion_triggers_one_reinit_and_full_retrigger():
     pset = [("a", 1, (5,))]
     events = [

@@ -34,7 +34,7 @@ from predlift.boosting import Backstop, BoostConfig, RecomputeBackstop, Steppabl
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, drain
 from predlift.incremental import lift_incremental
-from predlift.model import Prediction
+from predlift.model import INSERT, Event, Prediction
 from predlift.problems import (
     MsfProblem,
     connectivity_contract,
@@ -83,7 +83,7 @@ def run_mode(mode, problem, inst, seed, engine=Engine):
     """(daily outputs, the run's ``engine``) of one instance in ``mode``.  A
     backstopped engine is stepped to completion after the last day, so its
     counters cover every day."""
-    eng = engine(problem_impl(problem), inst.T, seed, payload_registry=inst.payload_registry)
+    eng = engine(problem_impl(problem), inst.T, seed)
     predictions = inst.predictions
     if mode == "offline":  # the realized stream is its own exact prediction
         predictions = [Prediction(ev, day) for day, ev in inst.stream]
@@ -92,9 +92,7 @@ def run_mode(mode, problem, inst, seed, engine=Engine):
         for day, ev in inst.stream:
             drain(eng.process_day(day, ev))
         return eng.outputs, eng
-    backstop = RecomputeBackstop(
-        lambda active: oracle_answer(problem, active, inst.payload_registry)
-    )
+    backstop = RecomputeBackstop(lambda active: oracle_answer(problem, active))
     stepped = SteppableEngine(eng, predictions)
     meta = Backstop([stepped, SteppableEngine(backstop)])
     for day, ev in inst.stream:
@@ -135,17 +133,25 @@ def test_offline_problem_modes_match_oracle(problem, mode, data, T, seed):
     assert eng.counters.batch_max <= 2 * log2(T) + 4
 
 
-def boosted(problem, inst, seed, cap, run=boost_run, payloads=None):
+def boosted(problem, inst, seed, cap, run=boost_run, past_payload=None):
     """(daily outputs, engines built, backstops built) of ``run`` over the
-    bundles of ``inst``'s predictions.  ``payloads(T_hat)`` gives the
-    payload registry of an engine built for the horizon guess ``T_hat``,
-    the instance's whole registry when not given."""
+    bundles of ``inst``'s predictions.  Given ``past_payload``, an engine
+    built for the horizon guess ``T_hat`` gets it in place of the payload
+    of every predicted insertion realized before its first live day,
+    ``T_hat // 2``."""
     bundles = {b.index: list(b.predictions) for b in make_bundles(inst.predictions, inst.T)}
+    real_day = {ev.key: day for day, ev in inst.stream}
     engines = []
 
     def factory(T_hat, preds, engine_seed):
-        registry = payloads(T_hat) if payloads else inst.payload_registry
-        engines.append(Engine(problem_impl(problem), T_hat, engine_seed, registry))
+        if past_payload is not None:
+            preds = [
+                Prediction(Event(p.event.element, INSERT, past_payload), p.predicted_day)
+                if p.event.kind == INSERT and real_day.get(p.event.key, T_hat) < T_hat // 2
+                else p
+                for p in preds
+            ]
+        engines.append(Engine(problem_impl(problem), T_hat, engine_seed))
         return SteppableEngine(engines[-1], preds)
 
     config = BoostConfig(instances_cap=cap, seed=seed)
@@ -194,19 +200,15 @@ def test_boosted_run_does_no_more_work_than_the_replay():
 
 
 def test_boosted_engines_take_past_payloads_from_the_events():
-    """An engine built on a doubling day is given the payloads of that
-    day's and later insertions only, as predictions that carried them
-    would give them.  A past insertion's payload reaches it only through
-    the event folded into its schedule, and its windows read it at ingest:
-    the outputs still equal the oracle's."""
+    """An engine built on a doubling day reads a past insertion's payload
+    only from the event folded into its schedule: its predictions of
+    insertions realized before its first live day carry a junk payload
+    (vertices and a weight no event has), and the outputs still equal the
+    oracle's, so a prediction ``resume`` realized never brings its payload
+    in."""
     for problem, seed in product(("connectivity", "msf"), range(3)):
         inst = generate_offline_instance(problem, 8, 100, ErrorModel("uniform", sigma=9), seed)
-
-        def payloads(T_hat):  # the first live day is half the horizon guess
-            today = T_hat // 2
-            return {ev.element: ev.payload for _, ev in inst.stream[today - 1 :] if ev.payload}
-
-        outputs, _, _ = boosted(problem, inst, seed, 2, payloads=payloads)
+        outputs, _, _ = boosted(problem, inst, seed, 2, past_payload=(-1, -2, -3))
         assert outputs == oracle_daily_outputs(problem, inst.stream), (problem, seed)
 
 
@@ -229,7 +231,7 @@ def test_each_epoch_starts_its_engines_at_today(monkeypatch):
         built = []  # every instance, and its first live day: the doubled guess is twice it
 
         def factory(T_hat, preds, engine_seed):
-            engine = Engine(problem_impl(problem), T_hat, engine_seed, inst.payload_registry)
+            engine = Engine(problem_impl(problem), T_hat, engine_seed)
             built.append((SteppableEngine(engine, preds), T_hat // 2))
             return built[-1][0]
 
@@ -267,10 +269,8 @@ def test_each_epoch_starts_its_engines_at_today(monkeypatch):
 def backstop_pair(problem, inst, seed):
     """The CLI's backstopped mode: the engine over the instance's
     predictions beside the from-scratch recompute, each counting its steps."""
-    eng = Engine(problem_impl(problem), inst.T, seed, payload_registry=inst.payload_registry)
-    backstop = RecomputeBackstop(
-        lambda active: oracle_answer(problem, active, inst.payload_registry)
-    )
+    eng = Engine(problem_impl(problem), inst.T, seed)
+    backstop = RecomputeBackstop(lambda active: oracle_answer(problem, active))
     return [CountingSteppable(eng, inst.predictions), CountingSteppable(backstop)]
 
 
@@ -314,7 +314,7 @@ def test_deletion_predicted_engine_matches_oracle(problem, data, T, seed):
     an MSF window holds every edge with an event in its span, which an
     insertion scheduled without a retrigger would leave out."""
     model = data.draw(error_models(T))
-    items, _, err = generate_deletion_predicted_stream(problem, 8, T, model, seed)
+    items, err = generate_deletion_predicted_stream(problem, 8, T, model, seed)
     eng = Engine(problem_impl(problem), T, seed)
     reference = PerSpanEngine(problem_impl(problem), T, seed)
     with ended_window_computes() as ended, retrigger_recomputes() as recomputes:
@@ -355,7 +355,7 @@ def test_readable_windows_stay_fresh():
     models = (ErrorModel("uniform", sigma=9), ErrorModel("inject", sigma=128))
     for problem, model, seed in product(PROBLEMS, models, range(4)):
         inst = generate_offline_instance(problem, 16, 64, model, seed)
-        eng = Engine(problem_impl(problem), inst.T, seed, payload_registry=inst.payload_registry)
+        eng = Engine(problem_impl(problem), inst.T, seed)
         drain(eng.ingest_predictions(inst.predictions))
         for day, ev in inst.stream:
             drain(eng.process_day(day, ev))

@@ -12,6 +12,7 @@ from predlift.engine import Engine, ScheduleBug, drain, run_offline, run_predict
 from predlift.incremental import lift_incremental
 from predlift.model import DELETE, INSERT, Event, Prediction
 from predlift.problems import (
+    connectivity_contract,
     counter_contract,
     decremental_max_contract,
     msf_problem,
@@ -163,6 +164,98 @@ def test_resume_needs_a_fresh_engine_and_a_stream():
     ):
         with pytest.raises(ScheduleBug):
             Engine(lift_incremental(counter_contract()), 8, 1).resume(bad)
+
+
+def test_resumed_engine_must_ingest_before_its_first_day():
+    """A resumed engine that never ingested has no live root, so computing
+    only the windows that start on its first day would build them on
+    nothing: the day is a ``ScheduleBug``, raised before any state changes,
+    and the engine then ingests and answers as the oracle does."""
+    inst = generate_offline_instance("counter", 8, 32, ErrorModel("uniform", sigma=4), 2)
+    eng = Engine(lift_incremental(counter_contract()), inst.T, 1)
+    eng.resume(inst.stream[:10])
+    before = engine_state(eng)
+    with pytest.raises(ScheduleBug, match="ingest"):
+        drain(eng.process_day(*inst.stream[10]))
+    assert engine_state(eng) == before
+    drain(eng.ingest_predictions(inst.predictions))
+    for day, ev in inst.stream[10:]:
+        drain(eng.process_day(day, ev))
+    assert eng.outputs == oracle_daily_outputs("counter", inst.stream)[10:]
+
+
+PAYLOAD_PROBLEMS = (
+    ("connectivity", lambda: lift_incremental(connectivity_contract())),
+    ("msf", msf_problem),
+)
+
+
+def test_short_payloads_are_schedule_bugs():
+    """An insertion whose payload the problem cannot read is a
+    ``ScheduleBug`` raised before any state changes, not the problem's own
+    ``IndexError`` or ``ValueError``: at ingest for predictions stripped of
+    their payloads, on its day for a realized insertion, and in a resumed
+    history.  With the payloads on, the same engine runs to the oracle's
+    outputs."""
+    for name, problem in PAYLOAD_PROBLEMS:
+        inst = generate_offline_instance(name, 8, 32, ErrorModel("uniform", sigma=4), 1)
+        bare = [
+            Prediction(Event(p.event.element, p.event.kind), p.predicted_day)
+            for p in inst.predictions
+        ]
+        eng = Engine(problem(), inst.T, 2)
+        before = engine_state(eng)
+        with pytest.raises(ScheduleBug, match="payload"):
+            drain(eng.ingest_predictions(bare))
+        assert engine_state(eng) == before, name
+        drain(eng.ingest_predictions(inst.predictions))
+        for day, ev in inst.stream:
+            drain(eng.process_day(day, ev))
+        assert eng.outputs == oracle_daily_outputs(name, inst.stream), name
+
+        day, ev = inst.stream[0]  # day 1 always inserts
+        eng = Engine(problem(), inst.T, 2)
+        with pytest.raises(ScheduleBug, match="payload"):
+            drain(eng.process_day(day, Event(ev.element, INSERT)))
+        assert eng.current_day == 0 and not eng.schedule.by_key, name
+        with pytest.raises(ScheduleBug, match="payload"):
+            Engine(problem(), inst.T, 2).resume([(day, Event(ev.element, INSERT))])
+
+
+def test_realized_payload_must_equal_its_predictions():
+    """The windows computed at ingest read a predicted insertion's payload,
+    so a realized insertion carrying another is a ``ScheduleBug``, raised
+    before any state changes; the right day is then taken as usual."""
+    for name, problem in PAYLOAD_PROBLEMS:
+        inst = generate_offline_instance(name, 8, 32, ErrorModel("uniform", sigma=4), 3)
+        eng = Engine(problem(), inst.T, 4)
+        drain(eng.ingest_predictions(inst.predictions))
+        day, ev = inst.stream[0]
+        before = engine_state(eng)
+        with pytest.raises(ScheduleBug, match="prediction"):
+            drain(eng.process_day(day, Event(ev.element, INSERT, (90, 91, 7))))
+        assert engine_state(eng) == before, name
+        for day, ev in inst.stream:
+            drain(eng.process_day(day, ev))
+        assert eng.outputs == oracle_daily_outputs(name, inst.stream), name
+
+
+def test_payload_fields_the_problem_does_not_read_may_differ():
+    """Only the fields a problem reads must match: over an MSF stream, the
+    counter runs on predictions with no payloads and connectivity on
+    predictions of ``(u, v)``, each to its oracle's outputs."""
+    inst = generate_offline_instance("msf", 8, 32, ErrorModel("uniform", sigma=4), 5)
+    for name, problem, fields in (
+        ("counter", lambda: lift_incremental(counter_contract()), 0),
+        ("connectivity", lambda: lift_incremental(connectivity_contract()), 2),
+    ):
+        trimmed = [
+            Prediction(Event(ev.element, ev.kind, ev.payload[:fields]), p.predicted_day)
+            for p in inst.predictions
+            for ev in (p.event,)
+        ]
+        eng = run_predicted(problem(), inst.T, trimmed, inst.stream, 6)
+        assert eng.outputs == oracle_daily_outputs(name, inst.stream), name
 
 
 def test_batch_bound_holds():

@@ -3,7 +3,7 @@
 import pytest
 
 from predlift import fileio
-from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event, Prediction
+from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event, Prediction, PredictionBundle
 from predlift.streamgen import ErrorModel, generate_offline_instance, make_bundles
 
 
@@ -23,6 +23,26 @@ def test_prediction_roundtrip(tmp_path):
     ]
     with open(path) as f:
         assert f.readline() == "# l1_error 7\n"
+
+
+def test_prediction_payload_roundtrip(tmp_path):
+    """A prediction line carries its event's payload, in a prediction file
+    and in a bundle; a payload-free line stays three fields."""
+    preds = [
+        Prediction(Event("a", INSERT, (0, 1, 5)), 3),
+        Prediction(Event("a", DELETE), 9),
+        Prediction(Event("b", INSERT, (7,)), 4),
+        Prediction(Event("pad", INSERT), END_OF_HORIZON),
+    ]
+    path = str(tmp_path / "x.pred")
+    fileio.write_predictions(path, preds)
+    assert fileio.read_predictions(path) == preds
+    with open(path) as f:
+        assert f.read().splitlines() == ["a I 3 0 1 5", "a D 9", "b I 4 7", "pad I inf"]
+    bundles = [PredictionBundle(1, 1, tuple(preds[:2])), PredictionBundle(2, 1, tuple(preds))]
+    path = str(tmp_path / "x.bundles")
+    fileio.write_bundles(path, bundles)
+    assert fileio.read_bundles(path) == bundles
 
 
 def test_stream_roundtrip(tmp_path):
@@ -109,14 +129,19 @@ def test_insertion_predicted_roundtrip(tmp_path):
 def test_bad_line_reports_path_and_line(tmp_path):
     """Each reader rejects, at its line, what its writer never writes."""
     cases = [
-        (fileio.read_predictions, "# l1_error 0\na I 3\n", "a I 3 4\n"),
+        (fileio.read_predictions, "# l1_error 0\na I 3\n", "a I 3 4 x\n"),
+        (fileio.read_predictions, "a I 3 0 1\n", "b I\n"),
         (fileio.read_predictions, "a I 3\n", "a I x\n"),
+        (fileio.read_predictions, "a I 1 0 1 5\n", "a D 3 0 1 5\n"),  # a deletion's payload
         (fileio.read_stream, "1 a I\n", "2 b\n"),
         (fileio.read_stream, "1 a I 0 1\n", "2 b I 0 x\n"),
         (fileio.read_stream, "1 a I\n", "2 b X\n"),
+        (fileio.read_stream, "1 a I 7 7 7\n", "2 a D 7 7 7\n"),
         (fileio.read_bundles, "\n", "a I 3\n"),  # before any #bundle header
-        (fileio.read_bundles, "#bundle 1 1\n", "a I 3 4\n"),
+        (fileio.read_bundles, "#bundle 1 1\n", "a I 3 x\n"),
         (fileio.read_bundles, "#bundle 1 1\na I 3\n", "#bundle 2\n"),
+        (fileio.read_bundles, "#bundle 1 1\na I 3 0 1\n", "#bundle 2 1 5\n"),
+        (fileio.read_bundles, "#bundle 1 1\na I 3 0 1\n", "a D 4 0 1\n"),
         (fileio.read_deletion_predicted_stream, "1 I a 3\n", "2 D a 99 junk\n"),
         (fileio.read_deletion_predicted_stream, "1 I a 3\n", "2 I b\n"),
         (fileio.read_deletion_predicted_stream, "1 I a 3\n", "3 D a\n"),

@@ -25,9 +25,7 @@ from predlift.streamgen import (
 
 def build_engine(inst, seed=0, problem=None):
     problem = problem or lift_incremental(counter_contract())
-    return run_predicted(
-        problem, inst.T, inst.predictions, inst.stream, seed, payload_registry=inst.payload_registry
-    )
+    return run_predicted(problem, inst.T, inst.predictions, inst.stream, seed)
 
 
 def chain_windows(tree, day):
@@ -77,7 +75,7 @@ def test_partition_property_every_day():
         inst = generate_offline_instance("counter", 8, 48, ErrorModel("uniform", sigma=7), seed)
         assert_partition(build_engine(inst, seed=seed + 50))
     for seed in range(3):
-        items, _, _ = generate_deletion_predicted_stream(
+        items, _ = generate_deletion_predicted_stream(
             "counter", 8, 32, ErrorModel("uniform", sigma=7), seed
         )
         eng = Engine(lift_incremental(counter_contract()), len(items), seed)
@@ -145,7 +143,7 @@ def jit_run(items, seed=0, contract=None):
 
 
 def test_jit_exact_predictions_no_retriggers():
-    items, _, err = generate_deletion_predicted_stream(
+    items, err = generate_deletion_predicted_stream(
         "counter", 8, 64, ErrorModel("exact"), 4
     )
     assert err == 0
@@ -168,7 +166,7 @@ def test_jit_early_deletion_single_retrigger():
 
 def test_jit_insertions_never_retrigger():
     for seed in range(8):
-        items, _, _ = generate_deletion_predicted_stream(
+        items, _ = generate_deletion_predicted_stream(
             "counter", 8, 48, ErrorModel("uniform", sigma=10), seed
         )
         eng = Engine(lift_incremental(counter_contract()), len(items), seed)
@@ -194,7 +192,7 @@ def test_jit_work_scales_with_deletion_error():
     for sigma in (0, 4, 16):
         units = 0
         for seed in range(5):
-            items, _, _ = generate_deletion_predicted_stream(
+            items, _ = generate_deletion_predicted_stream(
                 "counter", 8, 96, ErrorModel("uniform", sigma=sigma), seed
             )
             eng = jit_run(items, seed=seed)

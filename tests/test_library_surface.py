@@ -1,8 +1,10 @@
 """Every function, class and method the library defines is reached by name
 from the library itself or from the benchmark under ``perfbench/``.  A name
 only tests reach belongs in ``tests/`` (see ``tests/oracles.py``), not in the
-library.  And every name a library module imports is used in that module, so
-a deletion leaves no import behind.
+library.  Every name a library module imports is used in that module, so
+a deletion leaves no import behind.  And every parameter with a default is
+passed by some library or benchmark call, so no option only ever takes its
+default.
 
 References are names, attribute names and identifier-like string constants
 (the benchmark's tracer patches methods by their name as a string).  The
@@ -74,3 +76,77 @@ def test_every_library_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{name}" for name in sorted(imported_names(tree) - used)]
     assert not unused, f"library imports their module never uses: {unused}"
+
+
+# ``cli.main``'s ``argv`` is how the tests drive the command line: the
+# console entry point calls ``main()`` bare, so no library call passes it.
+UNPASSED_BY_DESIGN = {"cli.py:main(argv)"}
+
+
+def defaulted_parameters(tree: ast.AST) -> list[tuple[str, str, int | None]]:
+    """(name callers call, parameter, position) for every parameter with a
+    default of every function in ``tree``.  A method's callers call its
+    class's name for ``__init__``, its own name otherwise; the position is
+    the parameter's index among the arguments a call passes by position
+    (``self`` or ``cls`` not counted), None for a keyword-only parameter."""
+    out = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                bound = cls is not None and not static
+                name = cls if bound and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    out.append((name, arg.arg, i - bound))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((name, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    if any(kw.arg in (parameter, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def called_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def test_every_defaulted_library_parameter_is_passed():
+    """A parameter with a default that no library or benchmark call passes,
+    by position or by keyword, is an option nothing uses: its default is
+    the only value it ever takes.  Calls are matched by the called name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*sorted(LIBRARY.glob("*.py")), *sorted(BENCHMARK.glob("*.py"))]:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(called_name(node), []).append(node)
+    unpassed = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for name, parameter, position in defaulted_parameters(parse(path)):
+            if not any(passes(call, parameter, position) for call in calls.get(name, ())):
+                unpassed.append(f"{path.name}:{name}({parameter})")
+    unpassed = sorted(set(unpassed) - UNPASSED_BY_DESIGN)
+    assert not unpassed, f"defaulted library parameters no call passes: {unpassed}"

@@ -203,22 +203,21 @@ def test_msf_self_loops_reach_no_window():
         (7, Event("loop", DELETE)),
         (8, Event("c", DELETE)),
     ]
-    registry = {ev.element: ev.payload for _, ev in stream if ev.payload}
     for seed in range(4):
         eng = run_offline(msf_problem(), 8, stream, seed)
         assert eng.outputs == oracle_daily_outputs("msf", stream)
-        assert eng.outputs == msf_kruskal_outputs(stream, registry)
+        assert eng.outputs == msf_kruskal_outputs(stream)
         held = {edge[1] for mem in eng.memory if mem is not None for edge in mem.edges}
         assert held and not held & {"loop", "loop2"}
 
 
-def msf_kruskal_outputs(stream, registry):
+def msf_kruskal_outputs(stream):
     """Every day's (weight, sorted ids) from ``oracles.kruskal`` over the
     edges alive that day."""
     alive, outs = {}, []
     for _, ev in stream:
         if ev.kind == INSERT:
-            alive[ev.element] = ev.payload or registry[ev.element]
+            alive[ev.element] = ev.payload
         else:
             del alive[ev.element]
         outs.append(kruskal([(p[2], el, p[0], p[1]) for el, p in alive.items()]))
@@ -230,12 +229,9 @@ def test_msf_outputs_equal_kruskal_oracle():
         inst = generate_offline_instance(
             "msf", 16, 128, ErrorModel("uniform", sigma=9), seed
         )
-        eng = run_predicted(
-            msf_problem(), inst.T, inst.predictions, inst.stream, seed,
-            payload_registry=inst.payload_registry,
-        )
+        eng = run_predicted(msf_problem(), inst.T, inst.predictions, inst.stream, seed)
         assert eng.outputs == oracle_daily_outputs("msf", inst.stream)
-        assert eng.outputs == msf_kruskal_outputs(inst.stream, inst.payload_registry)
+        assert eng.outputs == msf_kruskal_outputs(inst.stream)
 
 
 def test_msf_window_sparsifier_soundness():
@@ -244,7 +240,7 @@ def test_msf_window_sparsifier_soundness():
     graph plus its contracted weight equals that of the parent graph plus
     the parent's, over the edges alive that day."""
     inst = generate_offline_instance("msf", 10, 32, ErrorModel("uniform", sigma=5), 3)
-    eng = Engine(msf_problem(), inst.T, 8, payload_registry=inst.payload_registry)
+    eng = Engine(msf_problem(), inst.T, 8)
     drain(eng.ingest_predictions(inst.predictions))
 
     def msf_weight_at(mem, day):
