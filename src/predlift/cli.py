@@ -60,7 +60,17 @@ def format_output(problem: str, out) -> str:
     raise ValueError(problem)
 
 
+def _check_size(problem: str, T: int, n: int) -> None:
+    """A generated instance needs at least one day, and an edge at least two
+    vertices to join."""
+    if T < 1:
+        raise FileUsage(f"--T must be at least 1, got {T}")
+    if problem in ("connectivity", "msf") and n < 2:
+        raise FileUsage(f"--n must be at least 2 for {problem}'s edges, got {n}")
+
+
 def cmd_generate(args) -> int:
+    _check_size(args.problem, args.T, args.n)
     model = ErrorModel(args.model, sigma=args.sigma, rho=args.rho)
     if args.problem == "decmax":
         predicted_set, events, err = generate_insertion_predicted_instance(
@@ -197,6 +207,8 @@ def _dispatch_run(args):
     elif args.dstream:
         items = fileio.read_deletion_predicted_stream(path)
     stream = [(day, ev) for day, ev, _ in items] if online else fileio.read_stream(path)
+    if not stream:
+        raise FileUsage(f"{path}: no events (a run needs at least one day)")
     _check_payloads(args.problem, path, stream, predicted_set)
     if args.mode == "brute-force":
         return stream, oracle_daily_outputs(args.problem, stream), None  # no engine at all
@@ -245,6 +257,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.seeds < 1:
         raise FileUsage(f"--seeds must be at least 1, got {args.seeds}")
+    _check_size(args.problem, args.T, args.n)
     multipliers = [int(x) for x in args.errors.split(",")]
     rows = []
     for mult in multipliers:

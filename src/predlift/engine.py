@@ -194,11 +194,12 @@ class Engine:
         payload_fields -> how many payload fields the problem reads of an insertion
         compute_window(ctx, parent_memory) -> (memory, compute_units, clone_units)
                                               parent_memory is None for the root
-        day_output(leaf_memory, ctx) -> the day's answer, read from its leaf
+        day_output(leaf_memory) -> the day's answer, read from its leaf's memory
 
-    Both methods read the schedule only through the ``WindowCtx`` they are
-    handed: records through ``permanent_candidates``, lifetimes through
-    ``lifetime_maps`` and an element's payload through ``payload``.  An
+    A leaf's memory answers its day, so only ``compute_window`` reads the
+    schedule, and only through the ``WindowCtx`` it is handed: records
+    through ``permanent_candidates``, lifetimes through ``lifetime_maps``
+    and an element's payload through ``payload``.  An
     insertion's payload travels with it: a predicted insertion's on its
     prediction, a realized one's on the day's event, a past one's on the
     event ``resume`` folds in.  An insertion whose payload has fewer than
@@ -587,7 +588,7 @@ class Engine:
         nid = self.tree.leaf_of[day]
         if self.memory[nid] is None:
             raise ScheduleBug(f"leaf for day {day} never computed")
-        return self.problem.day_output(self.memory[nid], self.contexts[nid])
+        return self.problem.day_output(self.memory[nid])
 
 
 def _short_payload(what: str, event: Event, need: int) -> str:

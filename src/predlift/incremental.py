@@ -3,7 +3,8 @@
 The algorithm is an ``IncrementalContract``: ``init``, ``insert``, ``clone``
 and ``output(state)``.  ``LiftedIncremental`` turns it into the engine's
 two-method problem: ``compute_window`` builds a window's state, and
-``day_output`` reads the answer from the current day's leaf state.
+``day_output`` returns ``output`` of a day's leaf state, which holds every
+element active on that day.
 
 An element is permanent for a window when it is inserted on or before the
 window's first day, deleted after its last day, and not permanent for any
@@ -86,7 +87,7 @@ class LiftedIncremental:
             compute_units += self.contract.insert(state, element, ctx.payload(element))
         return state, compute_units, clone_units
 
-    def day_output(self, leaf_memory: Any, ctx: WindowCtx) -> Any:
+    def day_output(self, leaf_memory: Any) -> Any:
         return self.contract.output(leaf_memory)
 
 

@@ -3,12 +3,13 @@
 Three incremental contracts (active-element counter, union-by-rank
 connectivity, and, via the decremental adapter, an ordered-multiset max)
 plus an offline divide-and-conquer minimum spanning forest with contraction
-sparsification.
+sparsification, whose one-day windows each hold their day's answer.
 
 Every problem also ships an independent daily oracle used by verification:
 the oracle recomputes the answer from the true active set each day through
 a different code path than the engine (BFS instead of union-find for
-connectivity, plain Kruskal instead of the sparsifier chain for MSF).
+connectivity, plain Kruskal over every active edge instead of the
+sparsifier chain for MSF).
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ def decremental_max_contract() -> DecrementalMaxContract:
 class MsfGraph:
     """Window memory for the MSF problem: the contracted residual graph plus
     the weight and ids of edges already forced into every spanning forest of
-    the window's span.  The forced ids are a sorted tuple: a window adds its
-    contracted ids, and a day its picked ids, by sorting the concatenation,
-    which the sort does as a merge of the sorted run with the few new ids."""
+    the window's span.  The forced ids are a sorted tuple, to which a window
+    adds its contracted ids and a leaf its day's forest (``_merge_ids``).  A
+    leaf keeps no edges: its forced weight and ids are its day's answer."""
 
     __slots__ = ("edges", "acc_weight", "acc_ids")
 
@@ -189,12 +190,14 @@ def _link(uf: dict, edges) -> list:
     return linked
 
 
-def _kruskal(edges):
-    """Forest of the minimum spanning forest under the total order (w, id).
-    Returns (picked list, weight).  Tie order by id keeps the forest unique
-    and diffable against the oracle."""
-    picked = _link({}, sorted(edges))
-    return picked, sum(edge[0] for edge in picked)
+def _merge_ids(ids: tuple, edges) -> tuple:
+    """The sorted tuple ``ids`` with the ids of ``edges`` inserted in order:
+    each insertion is a binary search and one shift, cheaper than sorting
+    the whole concatenation for the few ids a window or a day adds."""
+    merged = list(ids)
+    for edge in edges:
+        bisect.insort(merged, edge[1])
+    return tuple(merged)
 
 
 class MsfProblem:
@@ -216,6 +219,16 @@ class MsfProblem:
     come, and with permanents but none contracted they are the kept
     permanents merged with the volatiles, with no relabel.  An edge's
     payload is (u, v, w).
+
+    A leaf (a one-day window, the root when T = 1) is its day's answer.  It
+    makes one pass over its parent's edges, links the ones alive on its
+    day into their forest, and keeps no edges: its forced weight and ids
+    gain the forest's, and ``day_output`` returns them.  That answer
+    depends only on the edges alive on the day, and a move that changes
+    them has a span holding the day, so a repair walk recomputes the leaf.
+    A leaf is charged the compute units of the window chain it replaces,
+    m (1 + ceil(log2(m + 2))) over the m edges alive on or deleted on its
+    day (the root's self-loops among them), and no clone units.
     """
 
     payload_fields = 3
@@ -240,6 +253,24 @@ class MsfProblem:
         else:
             candidates = parent.edges
             acc_weight, acc_ids = parent.acc_weight, parent.acc_ids
+
+        if s == e:
+            m, alive = loops, []
+            for edge in candidates:
+                ins = ins_get(edge[1])
+                if ins is None or ins > s:
+                    continue
+                dl = del_get(edge[1], never)
+                if dl < s:
+                    continue
+                m += 1  # charged whether alive today or deleted today
+                if dl > s:
+                    alive.append(edge)
+            forest = _link({}, alive)
+            mem = MsfGraph(
+                (), acc_weight + sum(edge[0] for edge in forest), _merge_ids(acc_ids, forest)
+            )
+            return mem, m * (1 + ceil(log2(m + 2))), 0
 
         perm, vol = [], []
         for edge in candidates:
@@ -293,21 +324,12 @@ class MsfProblem:
         mem = MsfGraph(
             tuple(new_edges),
             acc_weight + sum(edge[0] for edge in contracted),
-            tuple(sorted(acc_ids + tuple(contracted_ids))),
+            _merge_ids(acc_ids, contracted),
         )
         return mem, cost, len(new_edges)
 
-    def day_output(self, leaf: MsfGraph, ctx: WindowCtx):
-        t = ctx.start
-        ins_map, del_map, never = ctx.lifetime_maps()
-        alive = []
-        for edge in leaf.edges:
-            ins = ins_map.get(edge[1])
-            if ins is not None and ins <= t < del_map.get(edge[1], never):
-                alive.append(edge)
-        picked, weight = _kruskal(alive)
-        ids = tuple(sorted(leaf.acc_ids + tuple(edge[1] for edge in picked)))
-        return (leaf.acc_weight + weight, ids)
+    def day_output(self, leaf: MsfGraph):
+        return (leaf.acc_weight, leaf.acc_ids)
 
 
 def msf_problem() -> MsfProblem:
@@ -370,9 +392,9 @@ def oracle_answer(problem: str, active: dict[str, tuple]):
     if problem == "connectivity":
         return _bfs_components([(p[0], p[1]) for p in active.values()])
     if problem == "msf":
-        edges = [(p[2], el, p[0], p[1]) for el, p in active.items()]
-        picked, weight = _kruskal(edges)
-        return (weight, tuple(sorted(eid for _, eid, _, _ in picked)))
+        # Kruskal under the total order (w, id), which makes the forest unique
+        forest = _link({}, sorted((p[2], el, p[0], p[1]) for el, p in active.items()))
+        return (sum(edge[0] for edge in forest), tuple(sorted(edge[1] for edge in forest)))
     if problem == "decmax":
         return max((p[0] for p in active.values()), default=None)
     raise ValueError(f"unknown problem {problem!r}")

@@ -36,6 +36,8 @@ class PartitionTree:
 
     @classmethod
     def build(cls, T: int, seed: int) -> "PartitionTree":
+        if T < 1:  # before drawing T - 1 priorities
+            raise ValueError("T must be at least 1")
         rng = np.random.default_rng(seed)
         return cls(T, rng.random(T - 1))
 

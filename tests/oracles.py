@@ -422,8 +422,11 @@ def reference_msf_window(ctx, parent):
     permanents to find the contracted ones, link the permanents alone to
     find the kept ones, relabel the kept and volatile edges under the
     contractions and drop self-loops, then sort.  The root keeps every
-    edge alive in its span, self-loops too, until the relabel.  Returns
-    (memory, compute units, clone units)."""
+    edge alive in its span, self-loops too, until the relabel.  A leaf
+    instead contracts the edges alive on its day into its forced weight
+    and ids and keeps no edges, charged the compute units of every edge
+    alive on or deleted on its day and no clone units.  Returns (memory,
+    compute units, clone units)."""
 
     def find(uf, x):
         while uf.get(x, x) != x:
@@ -452,6 +455,21 @@ def reference_msf_window(ctx, parent):
     else:
         candidates = parent.edges
         acc_weight, acc_ids = parent.acc_weight, parent.acc_ids
+    if s == e:
+        spanned = [
+            edge
+            for edge in candidates
+            if ins_map.get(edge[1], never) <= s <= del_map.get(edge[1], never)
+        ]
+        alive = [edge for edge in spanned if del_map.get(edge[1], never) != s]
+        forest = link({}, alive)
+        mem = MsfGraph(
+            (),
+            acc_weight + sum(edge[0] for edge in forest),
+            tuple(sorted(set(acc_ids) | {edge[1] for edge in forest})),
+        )
+        m = len(spanned)
+        return mem, m * (1 + ceil(log2(m + 2))), 0
     perm, vol = [], []
     for edge in candidates:
         ins, dl = ins_map.get(edge[1]), del_map.get(edge[1], never)

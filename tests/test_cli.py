@@ -297,3 +297,30 @@ def test_unreachable_inject_error_exit_code(tmp_path, capsys):
 def test_missing_files_exit_code():
     rc = main(["run", "--problem", "counter", "--seed", "1"])
     assert rc == 2
+
+
+def test_empty_input_names_the_file(tmp_path, capsys):
+    """A run needs at least one day: an input with no events is an input
+    error naming its file, in every input format and in both commands."""
+    for name, args in (
+        ("empty.stream", ["--problem", "counter", "--stream"]),
+        ("empty.inst", ["--problem", "decmax", "--instance"]),
+        ("empty.dstream", ["--problem", "connectivity", "--dstream"]),
+    ):
+        path = tmp_path / name
+        path.write_text("")
+        for cmd in ("run", "verify"):
+            assert main([cmd, *args, str(path)]) == 2
+            assert f"{path}: no events" in capsys.readouterr().err
+
+
+def test_generate_rejects_an_empty_horizon_and_a_lone_vertex(tmp_path, capsys):
+    out = str(tmp_path / "z")
+    assert main(["generate", "--problem", "counter", "--T", "0", "--out", out]) == 2
+    assert "--T must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    for problem in ("connectivity", "msf"):
+        rc = main(["generate", "--problem", problem, "--T", "8", "--n", "1", "--out", out])
+        assert rc == 2
+        assert f"--n must be at least 2 for {problem}" in capsys.readouterr().err
+    assert main(["generate", "--problem", "counter", "--T", "8", "--n", "1", "--out", out]) == 0

@@ -370,10 +370,10 @@ def test_readable_windows_stay_fresh():
 
 
 def test_msf_windows_equal_the_pass_by_pass_reference(monkeypatch):
-    """Every MSF window compute, at ingest and in every retrigger, returns
-    the memory (edges, forced weight, sorted forced ids), compute units and
-    clone units of ``oracles.reference_msf_window`` on the same context and
-    parent memory.  On fixed instances at T = 128."""
+    """Every MSF window compute, at ingest and in every retrigger, leaves
+    included, returns the memory (edges, forced weight, sorted forced ids),
+    compute units and clone units of ``oracles.reference_msf_window`` on
+    the same context and parent memory.  On fixed instances at T = 128."""
     compute = MsfProblem.compute_window
     calls = []
 
@@ -393,6 +393,7 @@ def test_msf_windows_equal_the_pass_by_pass_reference(monkeypatch):
             outputs, _ = run_mode("predicted", "msf", inst, seed)
             assert outputs == oracle_daily_outputs("msf", inst.stream)
     assert len(calls) > len(recomputes) > 100
+    assert any(eng.tree.left[nid] == -1 for eng, _, nid in recomputes)  # leaves retriggered
 
 
 # The paper's repair-work bound: retrigger units <= C * (l1 + T) * log2(T)^2

@@ -15,7 +15,9 @@ from predlift.problems import (
     connectivity_contract,
     counter_contract,
     decremental_max_contract,
+    ActiveSet,
     msf_problem,
+    oracle_answer,
     oracle_daily_outputs,
 )
 from predlift.streamgen import ErrorModel, generate_offline_instance
@@ -232,6 +234,34 @@ def test_msf_outputs_equal_kruskal_oracle():
         eng = run_predicted(msf_problem(), inst.T, inst.predictions, inst.stream, seed)
         assert eng.outputs == oracle_daily_outputs("msf", inst.stream)
         assert eng.outputs == msf_kruskal_outputs(inst.stream)
+
+
+def test_msf_leaf_holds_its_days_answer():
+    """After an exact-prediction ingest every leaf keeps no edges, and its
+    forced weight and ids are its day's answer, before any day runs."""
+    for seed in range(3):
+        inst = generate_offline_instance("msf", 16, 64, ErrorModel("exact"), seed)
+        eng = Engine(msf_problem(), inst.T, seed)
+        drain(eng.ingest_predictions(inst.predictions))
+        active = ActiveSet()
+        for day, ev in inst.stream:
+            active.apply(day, ev)
+            leaf = eng.memory[eng.tree.leaf_of[day]]
+            assert leaf.edges == (), (seed, day)
+            assert (leaf.acc_weight, leaf.acc_ids) == oracle_answer("msf", active.items)
+
+
+def test_msf_single_day_root_is_its_leaf():
+    """At T = 1 the root is the leaf: one edge, or one self-loop, which no
+    forest holds, each gives the oracle's answer at the compute charge of
+    the whole window chain, 1 * (1 + ceil(log2(3))) = 3 units, and no clone
+    units."""
+    for payload, answer in (((0, 1, 5), (5, ("a",))), ((2, 2, 4), (0, ()))):
+        stream = [(1, Event("a", INSERT, payload))]
+        eng = run_offline(msf_problem(), 1, stream, 0)
+        assert eng.outputs == oracle_daily_outputs("msf", stream) == [answer]
+        assert eng.memory[0].edges == ()
+        assert (eng.counters.window_compute_units, eng.counters.clone_units) == (3, 0)
 
 
 def test_msf_window_sparsifier_soundness():

@@ -19,6 +19,12 @@ def test_single_day():
     assert t.smallest_window(1, 1) == 0
 
 
+def test_empty_horizon_is_rejected_before_drawing():
+    for T in (0, -1):
+        with pytest.raises(ValueError, match="T must be at least 1"):
+            PartitionTree.build(T, seed=0)
+
+
 def test_two_days():
     t = PartitionTree.build(2, seed=0)
     assert span(t, 0) == (1, 2)
