@@ -122,9 +122,18 @@ class Backstop:
 
 @dataclass
 class BoostConfig:
+    """``k`` scales the instance count per epoch, at most ``instances_cap``;
+    both must be at least 1."""
+
     k: int = 1
     instances_cap: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"boosting k must be at least 1, got {self.k}")
+        if self.instances_cap < 1:
+            raise ValueError(f"boosting instances cap must be at least 1, got {self.instances_cap}")
 
 
 @dataclass
@@ -173,7 +182,7 @@ def boost_run(
                 config.k * max(1, ceil(log2(horizon_guess))),
                 ceil(log2(max(2, ground_size))),
             )
-            L = max(1, min(l_uncapped, config.instances_cap))
+            L = min(l_uncapped, config.instances_cap)
             usable = [p for p in bundle if not p.is_sentinel and p.predicted_day <= horizon_guess]
             instances = [
                 engine_factory(horizon_guess, usable, config.seed + 7919 * len(epochs) + i)

@@ -136,14 +136,13 @@ class Schedule:
 
 class WindowCtx:
     """What a window's computation may look at: its span ``start``..``end``,
-    the records that can make an element permanent for it
-    (``permanent_candidates``), current element lifetimes
-    (``lifetime_maps``), and element payloads.  A context holds only what
-    the tree fixes and the engine's schedule, so the engine builds one per
-    window and keeps it.  It does not refer to the engine, so a kept
-    context makes no reference cycle and a dropped engine (an old epoch's
-    in ``boost_run``) is freed at once, not later by the cyclic collector
-    inside some day's update."""
+    the elements permanent for it (``permanents``), current element
+    lifetimes (``lifetime_maps``), and element payloads.  A context holds
+    only what the tree fixes and the engine's schedule, so the engine
+    builds one per window and keeps it.  It does not refer to the engine,
+    so a kept context makes no reference cycle and a dropped engine (an old
+    epoch's in ``boost_run``) is freed at once, not later by the cyclic
+    collector inside some day's update."""
 
     __slots__ = ("_schedule", "start", "end", "_kind", "_lo", "_hi")
 
@@ -160,20 +159,42 @@ class WindowCtx:
         else:
             self._kind, self._lo, self._hi = INSERT, tree.start[p] + 1, self.start
 
-    def permanent_candidates(self) -> list[Rec]:
-        """Records among which every permanent element of this window has
-        exactly one: the event that keeps it from being permanent for the
-        parent.  An element alive across this window but not across its
-        parent dies inside (own end, parent end] when this is a left child
-        (one sharing the parent's first day), and is born inside (parent
-        start, own start] otherwise.  So a left child gets the DELETE
-        records on days end+1 .. parent end, and any other window the
-        INSERT records on days parent start+1 .. start; the root gets days
-        0 .. 1, day 0 holding the pre-horizon insertions.  Each element has
-        at most one record of each kind, so none repeats."""
-        kind = self._kind
-        days = self._schedule.days[self._lo : self._hi + 1]
-        return [rec for recs in days for rec in recs if rec.kind == kind]
+    def permanents(self) -> list[str]:
+        """The elements permanent for this window, sorted: alive across it
+        and not across its parent.  Each has exactly one record that keeps
+        it from being permanent for the parent: it dies inside (own end,
+        parent end] when this is a left child (one sharing the parent's
+        first day), and is born inside (parent start, own start] otherwise.
+        So one pass reads the DELETE records on days end+1 .. parent end
+        of a left child, and the INSERT records on days parent start+1 ..
+        start of any other window (days 0 .. 1 for the root, day 0 holding
+        the pre-horizon insertions).  A record there already lies on the
+        right side of its own end of the window, so only the element's
+        other event is tested; an element never inserted reads as inserted
+        after every window.  Each element has at most one record of each
+        kind, so none repeats.  This scan runs for every window compute."""
+        sched = self._schedule
+        never = sched.T + 1
+        days = sched.days[self._lo : self._hi + 1]
+        if self._kind == INSERT:
+            end, del_get = self.end, sched.del_day.get
+            out = [
+                rec.element
+                for recs in days
+                for rec in recs
+                if rec.kind == INSERT and del_get(rec.element, never) > end
+            ]
+        else:
+            start, ins_get = self.start, sched.ins_day.get
+            out = [
+                rec.element
+                for recs in days
+                for rec in recs
+                if rec.kind == DELETE and ins_get(rec.element, never) <= start
+            ]
+        if len(out) > 1:
+            out.sort()
+        return out
 
     def lifetime_maps(self) -> tuple[dict[str, int], dict[str, int], int]:
         """(insertion days, deletion days, day meaning never-deleted).  An
@@ -197,9 +218,9 @@ class Engine:
         day_output(leaf_memory) -> the day's answer, read from its leaf's memory
 
     A leaf's memory answers its day, so only ``compute_window`` reads the
-    schedule, and only through the ``WindowCtx`` it is handed: records
-    through ``permanent_candidates``, lifetimes through ``lifetime_maps``
-    and an element's payload through ``payload``.  An
+    schedule, and only through the ``WindowCtx`` it is handed: a window's
+    permanent elements through ``permanents``, lifetimes through
+    ``lifetime_maps`` and an element's payload through ``payload``.  An
     insertion's payload travels with it: a predicted insertion's on its
     prediction, a realized one's on the day's event, a past one's on the
     event ``resume`` folds in.  An insertion whose payload has fewer than
@@ -331,7 +352,7 @@ class Engine:
                 payloads[ev.element] = ev.payload
         for nid in range(self.tree.n_nodes()):
             if self.tree.end[nid] > self.current_day:
-                yield self._recompute(nid, "preprocess")
+                yield self._recompute(nid)
 
     def preload_day0(self, elements: list[str]) -> None:
         """Record elements present before day 1 (realized pre-horizon
@@ -359,10 +380,12 @@ class Engine:
 
     # -- recomputation ------------------------------------------------------
 
-    def _recompute(self, nid: int, bucket: str) -> int:
-        ctx = self.contexts[nid]
-        if ctx is None:
-            ctx = self.contexts[nid] = WindowCtx(self, nid)
+    def _recompute(self, nid: int) -> int:
+        """Compute window ``nid`` outside a repair walk (at ingest, or on
+        its start day in an engine given no predictions), charged to
+        ``preprocess_units``; returns the units to yield, at least one.
+        It builds the window's context, which the repair walk reuses."""
+        ctx = self.contexts[nid] = WindowCtx(self, nid)
         parent = self.tree.parent[nid]
         pmem = self.memory[parent] if parent != -1 else None
         mem, compute_units, clone_units = self.problem.compute_window(ctx, pmem)
@@ -370,10 +393,7 @@ class Engine:
         units = compute_units + clone_units
         self.counters.window_compute_units += compute_units
         self.counters.clone_units += clone_units
-        if bucket == "preprocess":
-            self.counters.preprocess_units += units
-        else:
-            self.counters.retrigger_units += units
+        self.counters.preprocess_units += units
         return max(1, units)
 
     def retrigger(self, spans: list[tuple[int, int]]) -> Iterator[int]:
@@ -383,7 +403,9 @@ class Engine:
         that meets some moved day is recomputed once, in node-id order.
         A parent's id is smaller than its children's, so every window reads
         its parent's fresh memory, and a window below several spans is
-        recomputed once however many of them reach it.
+        recomputed once however many of them reach it.  The walk calls the
+        problem's ``compute_window`` itself and charges each recompute's
+        units to ``retrigger_units``.
 
         Every span holds today, so a window meets a moved day exactly when
         it has not ended and starts on or before ``reach``, the farthest
@@ -412,24 +434,33 @@ class Engine:
                     heap += (tree.left[top], tree.right[top])
         reach = max(hi for _, hi in spans)
         heapify(heap)
+        memory, contexts, counters = self.memory, self.contexts, self.counters
+        compute, parent = self.problem.compute_window, tree.parent
+        start, end, left, right = tree.start, tree.end, tree.left, tree.right
+        today = self.current_day
         last = None
         while heap:
             nid = heappop(heap)
             # a window several spans reach pops once for each, in a row; below
             # a window not yet live, already ended or starting after every
             # moved day, every window is too
-            if (
-                nid == last
-                or self.memory[nid] is None
-                or tree.end[nid] < self.current_day
-                or tree.start[nid] > reach
-            ):
+            if nid == last or memory[nid] is None or end[nid] < today or start[nid] > reach:
                 continue
             last = nid
-            yield self._recompute(nid, bucket="retrigger")
-            if tree.left[nid] != -1:
-                heappush(heap, tree.left[nid])
-                heappush(heap, tree.right[nid])
+            p = parent[nid]
+            # a live window's context was built at its first compute
+            mem, compute_units, clone_units = compute(
+                contexts[nid], memory[p] if p != -1 else None
+            )
+            memory[nid] = mem
+            units = compute_units + clone_units
+            counters.window_compute_units += compute_units
+            counters.clone_units += clone_units
+            counters.retrigger_units += units
+            yield max(1, units)
+            if left[nid] != -1:
+                heappush(heap, left[nid])
+                heappush(heap, right[nid])
 
     # -- handlers ------------------------------------------------------------
 
@@ -578,7 +609,7 @@ class Engine:
 
         if self.memory[self.tree.leaf_of[day]] is None:
             for nid in self.tree.windows_starting_at(day):
-                yield self._recompute(nid, "preprocess")
+                yield self._recompute(nid)
 
         self.outputs.append(self.day_output_value(day))
 

@@ -13,13 +13,17 @@ dually, the windows containing a day partition the elements active on that
 day.  A window's computation therefore just clones the parent state and
 inserts the window's permanents, giving work update(A) per element.
 
-Each permanent of a window has exactly one event that rules out the
-parent: for a left child, its deletion inside the sibling; for any other
-window, its insertion inside (parent start, own start], which for the root
-means on day 0 or 1.  ``WindowCtx.permanent_candidates`` returns just those
-records, and a candidate is permanent exactly when its element is alive
-across the window by ``WindowCtx.lifetime_maps``.  A window reads nothing
-else of the schedule.
+``WindowCtx.permanents`` finds a window's permanents in one scan: each has
+exactly one event that rules out the parent (for a left child, its
+deletion inside the sibling; for any other window, its insertion inside
+(parent start, own start], which for the root means on day 0 or 1).  A
+window reads nothing else of the schedule but its permanents' payloads.
+
+No state changes after the compute that built it, since ``insert`` only
+ever touches a fresh ``init`` or ``clone``.  So a window with no
+permanents holds its parent's state object itself, at no cost: the
+persistence by structure sharing of Driscoll, Sarnak, Sleator and Tarjan,
+"Making data structures persistent", JCSS 1989.
 """
 
 from __future__ import annotations
@@ -33,7 +37,14 @@ if TYPE_CHECKING:  # the engine imports this module
 class IncrementalContract(Protocol):
     """The pluggable worst-case incremental algorithm: four methods, and the
     answer depends on the state alone.  ``insert`` reads the first
-    ``payload_fields`` fields of an element's payload."""
+    ``payload_fields`` fields of an element's payload.
+
+    A state never changes after the window compute that built it: the
+    lifted problem calls ``insert`` only on a state it has just made with
+    ``init`` or ``clone``, and never again once the compute returns.  A
+    window with no permanents therefore holds its parent's state object,
+    which several windows may share; nothing may mutate a state outside
+    ``insert``."""
 
     payload_fields: int
 
@@ -52,23 +63,6 @@ class IncrementalContract(Protocol):
         """The answer for the elements inserted into ``state``."""
 
 
-def window_permanents(ctx: WindowCtx) -> list[str]:
-    """Elements permanent for the window of ``ctx``, sorted: those of
-    ``ctx.permanent_candidates()`` alive across the whole window.  An
-    element never inserted reads as inserted after every window.  This scan
-    runs for every window recompute."""
-    s, e = ctx.start, ctx.end
-    ins_map, del_map, never = ctx.lifetime_maps()
-    ins_get, del_get = ins_map.get, del_map.get
-    return sorted(
-        [
-            rec.element
-            for rec in ctx.permanent_candidates()
-            if ins_get(rec.element, never) <= s and del_get(rec.element, never) > e
-        ]
-    )
-
-
 class LiftedIncremental:
     """c = 1 divide-and-conquer problem over an IncrementalContract; a
     window's memory is the contract state itself."""
@@ -78,13 +72,20 @@ class LiftedIncremental:
         self.payload_fields = contract.payload_fields
 
     def compute_window(self, ctx: WindowCtx, parent_memory: Any):
+        """The root's state is a fresh ``init``; any other window's is a
+        clone of its parent's, or, with no permanents to insert, its
+        parent's state itself, charged nothing."""
+        permanents = ctx.permanents()
         if parent_memory is None:
             state, clone_units = self.contract.init()
+        elif not permanents:
+            return parent_memory, 0, 0
         else:
             state, clone_units = self.contract.clone(parent_memory)
+        insert, payload = self.contract.insert, ctx.payload
         compute_units = 0
-        for element in window_permanents(ctx):
-            compute_units += self.contract.insert(state, element, ctx.payload(element))
+        for element in permanents:
+            compute_units += insert(state, element, payload(element))
         return state, compute_units, clone_units
 
     def day_output(self, leaf_memory: Any) -> Any:

@@ -53,33 +53,37 @@ def counter_contract() -> CounterContract:
 class ConnectivityContract:
     """Union by rank without path compression: O(log n) worst-case insert,
     so the lifted divide-and-conquer meets the worst-case update-time
-    requirement.  State is (parent, rank) dicts over vertices.  An edge's
-    payload is its endpoints (u, v)."""
+    requirement.  State is (parent, rank) dicts over vertices, a root its
+    own parent.  An edge's payload is its endpoints (u, v).  An insert
+    costs 1, plus 1 per new vertex, plus 1 per parent step its two root
+    finds take; the finds run inline, as they run once per permanent edge
+    of every window."""
 
     payload_fields = 2
 
     def init(self):
         return ({}, {}), 1
 
-    def _find(self, parent, v) -> tuple[int, int]:
-        steps = 0
-        while parent[v] != v:
-            v = parent[v]
-            steps += 1
-        return v, steps
-
     def insert(self, state, element, payload):
         parent, rank = state
         u, v = payload[0], payload[1]
         cost = 1
-        for x in (u, v):
-            if x not in parent:
-                parent[x] = x
-                rank[x] = 0
-                cost += 1
-        ru, su = self._find(parent, u)
-        rv, sv = self._find(parent, v)
-        cost += su + sv
+        if u not in parent:
+            parent[u] = u
+            rank[u] = 0
+            cost += 1
+        if v not in parent:
+            parent[v] = v
+            rank[v] = 0
+            cost += 1
+        ru = u
+        while (up := parent[ru]) != ru:
+            ru = up
+            cost += 1
+        rv = v
+        while (up := parent[rv]) != rv:
+            rv = up
+            cost += 1
         if ru == rv:
             return cost
         if rank[ru] < rank[rv]:
@@ -94,11 +98,20 @@ class ConnectivityContract:
         return (dict(parent), dict(rank)), len(parent) + len(rank) + 1
 
     def output(self, state):
+        """The components as sorted tuples of vertices, in sorted order.
+        Vertices are visited in sorted order, so each component's list
+        comes out sorted."""
         parent, _ = state
         comps: dict[int, list[int]] = {}
-        for v in parent:
-            comps.setdefault(self._find(parent, v)[0], []).append(v)
-        return tuple(sorted(tuple(sorted(c)) for c in comps.values()))
+        for v in sorted(parent):
+            root = v
+            while (up := parent[root]) != root:
+                root = up
+            if root in comps:
+                comps[root].append(v)
+            else:
+                comps[root] = [v]
+        return tuple(sorted(tuple(c) for c in comps.values()))
 
 
 def connectivity_contract() -> ConnectivityContract:

@@ -30,6 +30,9 @@ MODEL_KINDS = ("exact", "uniform", "heavy", "drop", "adv-uneven", "adv-even", "i
 
 @dataclass(frozen=True)
 class ErrorModel:
+    """One of ``MODEL_KINDS`` with its error scale ``sigma`` (at least 0)
+    and drop rate ``rho`` (in [0, 1]); anything else is a ValueError."""
+
     kind: str
     sigma: int = 0
     rho: float = 0.0
@@ -37,6 +40,10 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown error model {self.kind!r}")
+        if self.sigma < 0:
+            raise ValueError(f"error model sigma must be at least 0, got {self.sigma}")
+        if not 0 <= self.rho <= 1:
+            raise ValueError(f"error model rho must lie in [0, 1], got {self.rho}")
 
 
 @dataclass

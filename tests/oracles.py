@@ -5,8 +5,10 @@ partition tree's window test straight from divider priorities and a
 window's span, an element's liveness on a day read from a schedule, an
 engine's state in comparable form, an engine that repairs each moved
 record's span on its own, the live windows that differ from a fresh
-top-down compute, records of the window computes that run after the
-window's last day and of those a retrigger runs, the boosting loop that
+top-down compute, a window's permanent elements by brute force, records
+of every window compute as it happens, of those that run after the
+window's last day and of those a repair walk runs, connectivity's insert
+and output with helper root finds, the boosting loop that
 brings each new epoch's instances up to today by replaying every past day,
 a steppable engine that counts its steps, a record of the backstops built,
 a minimum spanning forest by plain Kruskal, and an MSF window computed
@@ -23,8 +25,9 @@ import numpy as np
 
 from predlift.boosting import Backstop, BoostConfig, SteppableEngine
 from predlift.engine import Engine, WindowCtx
+from predlift.incremental import LiftedIncremental
 from predlift.model import DELETE, INSERT, Event, Prediction
-from predlift.problems import ConnectivityContract, MsfGraph
+from predlift.problems import ConnectivityContract, MsfGraph, MsfProblem
 from predlift.scheduling import Assignment, SlotLine
 from predlift.timetree import PartitionTree
 
@@ -256,10 +259,7 @@ def comparable(problem, memory):
         parent, _ = memory
         components: dict = {}
         for v in parent:
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            components.setdefault(root, set()).add(v)
+            components.setdefault(_find_root(parent, v)[0], set()).add(v)
         return frozenset(frozenset(c) for c in components.values())
     return memory
 
@@ -282,44 +282,158 @@ def stale_windows(eng) -> list[tuple[int, int]]:
     return stale
 
 
+def reference_permanents(eng, nid: int) -> list[str]:
+    """The elements permanent for window ``nid`` of ``eng``, sorted, by
+    brute force over every element of the schedule: alive on the window's
+    first and last days (so across it) and, below the root, not across
+    its parent."""
+    tree, sched = eng.tree, eng.schedule
+
+    def across(el, n):
+        return alive_on(sched, el, tree.start[n]) and alive_on(sched, el, tree.end[n])
+
+    parent = tree.parent[nid]
+    return sorted(
+        el
+        for el in {el for el, _ in sched.by_key}
+        if across(el, nid) and (parent == -1 or not across(el, parent))
+    )
+
+
+@contextmanager
+def window_computes(record):
+    """Call ``record(eng, nid, parent_memory, result, walking)`` for every
+    window compute of any engine while the block runs: ``result`` is what
+    the problem's ``compute_window`` returned, and ``walking`` says whether
+    a repair walk made it.  The engine is the one whose ``_recompute`` call
+    or ``retrigger`` generator is running (the walk computes its windows
+    itself), and the window is found from its context's span, which is
+    unique in the tree.  A compute outside both, such as
+    ``stale_windows``'s, is not recorded.  ``Engine._recompute``,
+    ``Engine.retrigger`` and both problems' ``compute_window`` are
+    restored on exit."""
+    running: list[tuple[Engine, bool]] = []
+    nodes: dict[PartitionTree, dict[tuple[int, int], int]] = {}
+    recompute, retrigger = Engine._recompute, Engine.retrigger
+    computes = [(cls, cls.compute_window) for cls in (LiftedIncremental, MsfProblem)]
+
+    def computing(eng, nid):
+        running.append((eng, False))
+        try:
+            return recompute(eng, nid)
+        finally:
+            running.pop()
+
+    def walking(eng, spans):
+        walk = retrigger(eng, spans)
+        while True:
+            running.append((eng, True))
+            try:
+                units = next(walk)
+            except StopIteration:
+                return
+            finally:
+                running.pop()
+            yield units
+
+    def spy(compute):
+        def recorded(problem, ctx, parent):
+            result = compute(problem, ctx, parent)
+            if running:
+                eng, walk = running[-1]
+                tree = eng.tree
+                if tree not in nodes:
+                    nodes[tree] = {span(tree, n): n for n in range(tree.n_nodes())}
+                record(eng, nodes[tree][ctx.start, ctx.end], parent, result, walk)
+            return result
+
+        return recorded
+
+    Engine._recompute, Engine.retrigger = computing, walking
+    for cls, compute in computes:
+        cls.compute_window = spy(compute)
+    try:
+        yield
+    finally:
+        Engine._recompute, Engine.retrigger = recompute, retrigger
+        for cls, compute in computes:
+            cls.compute_window = compute
+
+
 @contextmanager
 def retrigger_recomputes():
-    """Record, while the block runs, every window recompute a retrigger of
-    any engine makes: a list of (engine, day, window) triples.
-    ``Engine._recompute`` is restored on exit."""
+    """Record, while the block runs, every window recompute a repair walk of
+    any engine makes: a list of (engine, day, window) triples, found by
+    ``window_computes``."""
     seen: list[tuple[Engine, int, int]] = []
-    recompute = Engine._recompute
 
-    def recording(eng, nid, bucket):
-        if bucket == "retrigger":
+    def record(eng, nid, parent, result, walking):
+        if walking:
             seen.append((eng, eng.current_day, nid))
-        return recompute(eng, nid, bucket)
 
-    Engine._recompute = recording
-    try:
+    with window_computes(record):
         yield seen
-    finally:
-        Engine._recompute = recompute
 
 
 @contextmanager
 def ended_window_computes():
     """Record, while the block runs, every window compute of any engine that
-    happens after the window's last day: a list of (window span, day)
-    pairs.  ``Engine._recompute`` is restored on exit."""
+    happens after the window's last day, at ingest, on a start day or in a
+    repair walk: a list of (window span, day) pairs, found by
+    ``window_computes``."""
     ended: list[tuple[tuple[int, int], int]] = []
-    recompute = Engine._recompute
 
-    def recording(eng, nid, bucket):
+    def record(eng, nid, parent, result, walking):
         if eng.tree.end[nid] < eng.current_day:
             ended.append((span(eng.tree, nid), eng.current_day))
-        return recompute(eng, nid, bucket)
 
-    Engine._recompute = recording
-    try:
+    with window_computes(record):
         yield ended
-    finally:
-        Engine._recompute = recompute
+
+
+# -- connectivity ----------------------------------------------------------------
+
+
+def _find_root(parent: dict, v) -> tuple[Any, int]:
+    steps = 0
+    while parent[v] != v:
+        v = parent[v]
+        steps += 1
+    return v, steps
+
+
+def reference_connectivity_insert(state, payload) -> int:
+    """``ConnectivityContract.insert`` with its root finds as a helper
+    call: the same union by rank, at the same cost."""
+    parent, rank = state
+    u, v = payload[0], payload[1]
+    cost = 1
+    for x in (u, v):
+        if x not in parent:
+            parent[x] = x
+            rank[x] = 0
+            cost += 1
+    ru, su = _find_root(parent, u)
+    rv, sv = _find_root(parent, v)
+    cost += su + sv
+    if ru == rv:
+        return cost
+    if rank[ru] < rank[rv]:
+        ru, rv = rv, ru
+    parent[rv] = ru
+    if rank[ru] == rank[rv]:
+        rank[ru] += 1
+    return cost
+
+
+def reference_connectivity_output(state) -> tuple:
+    """``ConnectivityContract.output`` by helper finds, each component
+    sorted after it is gathered."""
+    parent, _ = state
+    comps: dict = {}
+    for v in parent:
+        comps.setdefault(_find_root(parent, v)[0], []).append(v)
+    return tuple(sorted(tuple(sorted(c)) for c in comps.values()))
 
 
 # -- boosting -------------------------------------------------------------------

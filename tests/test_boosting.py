@@ -1,5 +1,7 @@
 """Backstop composition and the guess-and-double boosting loop."""
 
+import pytest
+
 from oracles import CountingSteppable
 from predlift.boosting import (
     Backstop,
@@ -206,3 +208,10 @@ def test_exact_bundles_cover_each_doubled_horizon():
         )
         assert outs == oracle_daily_outputs("counter", inst.stream)
         assert sum(e.counters.retrigger_calls for e in engines) == 0, T
+
+
+def test_boost_config_rejects_counts_below_one():
+    for kwargs in ({"k": 0}, {"k": -1}, {"instances_cap": 0}, {"instances_cap": -2}):
+        with pytest.raises(ValueError, match="at least 1"):
+            BoostConfig(**kwargs)
+    assert BoostConfig(k=1, instances_cap=1).instances_cap == 1

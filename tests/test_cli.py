@@ -294,6 +294,45 @@ def test_unreachable_inject_error_exit_code(tmp_path, capsys):
     assert "sigma=512" in err and "T=128" in err
 
 
+def test_error_model_parameters_out_of_range_exit_code(tmp_path, capsys):
+    """A negative sigma or a rho outside [0, 1] is an input error naming
+    the parameter, from ``generate`` and from ``bench`` (whose --errors
+    multiplies T into an inject sigma), and nothing is written."""
+    out = tmp_path / "inst"
+    for model, flag, value in (("drop", "--rho", "2"), ("drop", "--rho", "-0.5"),
+                               ("uniform", "--sigma", "-3")):
+        rc = main(
+            ["generate", "--problem", "counter", "--model", model, flag, value,
+             "--T", "8", "--n", "4", "--seed", "0", "--out", str(out)]
+        )
+        assert rc == 2, (model, flag, value)
+        err = capsys.readouterr().err
+        assert flag[2:] in err and "randrange" not in err, err
+    csv_path = tmp_path / "b.csv"
+    rc = main(
+        ["bench", "--problem", "counter", "--T", "16", "--errors", "-1", "--seeds", "1",
+         "--out", str(csv_path)]
+    )
+    assert rc == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_boosted_rejects_a_count_below_one(tmp_path, capsys):
+    """--k and --instances-cap below 1 are input errors, not clamped to one
+    instance per epoch."""
+    out = gen(tmp_path, T="32")
+    capsys.readouterr()
+    for flag, value in (("--instances-cap", "0"), ("--k", "0"), ("--k", "-1")):
+        rc = main(
+            ["run", "--problem", "counter", "--stream", f"{out}.stream", "--mode", "boosted",
+             "--bundles", f"{out}.bundles", "--seed", "1", flag, value]
+        )
+        assert rc == 2, (flag, value)
+        captured = capsys.readouterr()
+        assert "at least 1" in captured.err and not captured.out.strip(), (flag, value)
+
+
 def test_missing_files_exit_code():
     rc = main(["run", "--problem", "counter", "--seed", "1"])
     assert rc == 2

@@ -220,9 +220,9 @@ def test_each_epoch_starts_its_engines_at_today(monkeypatch):
     computes = []
     recompute = Engine._recompute
 
-    def recording(eng, nid, bucket):
+    def recording(eng, nid):
         computes.append((eng, eng.current_day, nid))
-        return recompute(eng, nid, bucket)
+        return recompute(eng, nid)
 
     monkeypatch.setattr(Engine, "_recompute", recording)
     for problem, seed in product(PROBLEMS, range(3)):

@@ -3,11 +3,12 @@ the predicted-deletion setting (an engine given no predictions, fed
 insertions carrying predicted deletion days)."""
 
 import random
+from itertools import product
 
-from oracles import alive_on, span
+from oracles import alive_on, reference_permanents, span, window_computes
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, WindowCtx, drain, run_predicted
-from predlift.incremental import lift_incremental, window_permanents
+from predlift.incremental import LiftedIncremental, lift_incremental
 from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
 from predlift.problems import (
     connectivity_contract,
@@ -41,7 +42,7 @@ def test_element_spanning_horizon_is_root_permanent():
     inst = generate_offline_instance("counter", 4, 16, ErrorModel("exact"), 1)
     eng = Engine(lift_incremental(counter_contract()), 16, 0)
     eng.schedule.add("whole", INSERT, 1, realized=True)
-    assert window_permanents(WindowCtx(eng, 0)) == ["whole"]
+    assert WindowCtx(eng, 0).permanents() == ["whole"]
 
 
 def test_same_day_lifetime_is_permanent_nowhere():
@@ -49,7 +50,7 @@ def test_same_day_lifetime_is_permanent_nowhere():
     eng.schedule.add("blip", INSERT, 3, realized=True)
     eng.schedule.add("blip", DELETE, 3, realized=True)
     for nid in range(eng.tree.n_nodes()):
-        assert "blip" not in window_permanents(WindowCtx(eng, nid))
+        assert "blip" not in WindowCtx(eng, nid).permanents()
 
 
 def assert_partition(eng):
@@ -59,7 +60,7 @@ def assert_partition(eng):
     for day in range(1, eng.T + 1):
         union, total = set(), 0
         for nid in chain_windows(eng.tree, day):
-            perms = window_permanents(WindowCtx(eng, nid))
+            perms = WindowCtx(eng, nid).permanents()
             union.update(perms)
             total += len(perms)
         assert union == {el for el in elements if alive_on(eng.schedule, el, day)}
@@ -119,9 +120,85 @@ def test_permanents_bounded_by_sibling_event_count():
             events = sum(
                 rec.kind == kind for d in range(lo, hi + 1) for rec in eng.schedule.days[d]
             )
-            assert len(window_permanents(WindowCtx(eng, nid))) <= events
+            assert len(WindowCtx(eng, nid).permanents()) <= events
             checked += 1
     assert checked > 1000
+
+
+LIFTED = ("counter", "connectivity", "decmax")
+PERMANENT_MODELS = (ErrorModel("uniform", sigma=9), ErrorModel("inject", sigma=128))
+
+
+def engines_day_by_day(problem, model, seed):
+    """The engine of one run of ``problem`` at T = 64 under ``model``,
+    yielded after ingest and after every day: counter and connectivity on
+    an engine that ingests predictions, decmax on a decremental run's
+    engine, which computes each window on its start day."""
+    if problem == "decmax":
+        predicted_set, items, _ = generate_insertion_predicted_instance(16, 64, model, seed)
+        run = DecrementalRun(decremental_max_contract(), predicted_set, 64, seed)
+        yield run.engine
+        for day, ev, reins in items:
+            run.process_day(day, ev, reins)
+            yield run.engine
+        return
+    contract = counter_contract() if problem == "counter" else connectivity_contract()
+    inst = generate_offline_instance(problem, 16, 64, model, seed)
+    eng = Engine(lift_incremental(contract), inst.T, seed)
+    drain(eng.ingest_predictions(inst.predictions))
+    yield eng
+    for day, ev in inst.stream:
+        drain(eng.process_day(day, ev))
+        yield eng
+
+
+def test_permanents_equal_the_brute_force_reference():
+    """After ingest and after every day, every live window's one-scan
+    ``permanents`` equal ``oracles.reference_permanents`` on the current
+    schedule."""
+    checked = 0
+    for problem, model, seed in product(LIFTED, PERMANENT_MODELS, range(3)):
+        for eng in engines_day_by_day(problem, model, seed):
+            for nid, mem in enumerate(eng.memory):
+                if mem is not None:
+                    want = reference_permanents(eng, nid)
+                    assert WindowCtx(eng, nid).permanents() == want, (problem, seed, nid)
+                    checked += 1
+    assert checked > 100_000
+
+
+def test_a_window_without_permanents_holds_its_parent_state():
+    """Checked at every compute as it happens (a window a walk keeps may
+    still hold an old parent's state): a non-root lifted window returns
+    its parent's state object, for no units, exactly when it has no
+    permanents, and any other window returns an object no window holds.
+    At ingest and in every retrigger of the runs above, and on the start
+    days of engines given no predictions."""
+    seen = {"shared": 0, "new": 0, "walk": 0}
+
+    def check(eng, nid, parent, result, walking):
+        if not isinstance(eng.problem, LiftedIncremental):
+            return
+        state = result[0]
+        if parent is not None and not reference_permanents(eng, nid):
+            assert state is parent and result[1:] == (0, 0), nid
+            seen["shared"] += 1
+        else:
+            assert all(state is not mem for mem in eng.memory), nid
+            seen["new"] += 1
+        seen["walk"] += walking
+
+    with window_computes(check):
+        for problem, model, seed in product(LIFTED, PERMANENT_MODELS, range(3)):
+            for _ in engines_day_by_day(problem, model, seed):
+                pass
+        for contract, seed in product((counter_contract, connectivity_contract), range(3)):
+            problem = "counter" if contract is counter_contract else "connectivity"
+            items, _ = generate_deletion_predicted_stream(
+                problem, 16, 64, ErrorModel("uniform", sigma=9), seed
+            )
+            jit_run(items, seed, contract())
+    assert min(seen.values()) > 1000, seen
 
 
 def test_clone_isolation():

@@ -18,6 +18,7 @@ from predlift.model import (
     l1_error,
     validate_bundle_sequence,
 )
+from predlift.streamgen import ErrorModel
 
 
 def preds(key_days):
@@ -95,6 +96,18 @@ def test_l1_zero_iff_identical_multisets():
 def test_event_kind_checked():
     with pytest.raises(ValueError):
         Event("e", "X")
+
+
+def test_error_model_parameters_checked():
+    for kwargs, word in (
+        ({"sigma": -1}, "sigma"),
+        ({"rho": 1.5}, "rho"),
+        ({"rho": -0.1}, "rho"),
+    ):
+        with pytest.raises(ValueError, match=word):
+            ErrorModel("drop", **kwargs)
+    assert ErrorModel("drop", sigma=0, rho=1.0).rho == 1.0
+    assert ErrorModel("uniform", sigma=0, rho=0.0).sigma == 0
 
 
 def _bundle(index, delivery, entries):

@@ -6,7 +6,13 @@ from collections import Counter
 
 import pytest
 
-from oracles import alive_on, kruskal, span
+from oracles import (
+    alive_on,
+    kruskal,
+    reference_connectivity_insert,
+    reference_connectivity_output,
+    span,
+)
 from predlift.engine import Engine, WindowCtx, drain, run_offline, run_predicted
 from predlift.incremental import lift_incremental
 from predlift.model import DELETE, END_OF_HORIZON, INSERT, Event
@@ -69,6 +75,26 @@ def test_connectivity_insert_worst_case_units():
         u, v = rng.randrange(n), rng.randrange(n)
         worst = max(worst, c.insert(state, f"e{i}", (u, v)))
     assert worst <= 2 * (n.bit_length() - 1) + 3
+
+
+def test_connectivity_insert_matches_the_find_reference():
+    """Over random edge sequences (self-loops and repeats included), the
+    inline finds return the helper-call version's cost for every insert,
+    build the same (parent, rank) dicts, and answer the same components."""
+    rng = random.Random(3)
+    c = connectivity_contract()
+    inserts = 0
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        state, _ = c.init()
+        ref: tuple[dict, dict] = ({}, {})
+        for i in range(rng.randint(0, 40)):
+            edge = (rng.randrange(n), rng.randrange(n))
+            assert c.insert(state, f"e{i}", edge) == reference_connectivity_insert(ref, edge)
+            assert state == ref
+            inserts += 1
+        assert c.output(state) == reference_connectivity_output(ref)
+    assert inserts > 5000
 
 
 def test_decremental_max_examples():
