@@ -16,7 +16,7 @@ from .incremental import lift_incremental
 from .decremental import DecrementalRun
 from .boosting import Backstop, BoostConfig, SteppableEngine, boost_run
 from .timetree import PartitionTree
-from .scheduling import Assignment, SlotLine, fix_ordering
+from .scheduling import SlotLine, fix_ordering
 from .problems import (
     connectivity_contract,
     counter_contract,
@@ -47,7 +47,6 @@ __all__ = [
     "SteppableEngine",
     "boost_run",
     "PartitionTree",
-    "Assignment",
     "SlotLine",
     "fix_ordering",
     "connectivity_contract",

@@ -15,7 +15,7 @@ The boosting loop doubles its horizon guess whenever the stream reaches it,
 rebuilding L fresh independent instances (L from both log of the horizon
 guess and log of the ground-set size, with a configurable cap) under a
 fresh backstop.  Each new instance starts at today: the events seen so far
-are folded into its schedule as realized records, and none is replayed.
+are folded into its schedule on their days, and none is replayed.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def boost_run(
     ingested (or the last available one), so its earliest predictions span
     the doubled horizon.  L fresh independent instances are built for the
     doubled guess under a new backstop, and each ``resume``s after the
-    events seen so far before its first step: they become realized records
-    of its schedule, its ingest computes only the windows that have not
+    events seen so far before its first step: they go into its schedule on
+    their days, its ingest computes only the windows that have not
     ended, and today is its first live day.  ``engine_factory`` returns a
     ``SteppableEngine`` over an ``Engine``.
     """

@@ -71,6 +71,11 @@ def _check_size(problem: str, T: int, n: int) -> None:
 
 def cmd_generate(args) -> int:
     _check_size(args.problem, args.T, args.n)
+    # a flag the generator would never read is an error, not silently ignored
+    if args.problem == "decmax" and args.deletion_predicted:
+        raise FileUsage(
+            "--deletion-predicted does not apply to decmax, whose instances predict insertions"
+        )
     model = ErrorModel(args.model, sigma=args.sigma, rho=args.rho)
     if args.problem == "decmax":
         predicted_set, events, err = generate_insertion_predicted_instance(
@@ -103,8 +108,9 @@ class FileUsage(ValueError):
 def _check_payloads(problem: str, path: str, stream, predicted_set=(), predictions=()) -> None:
     """Every insertion, every element of a predicted set, and every predicted
     insertion in ``predictions`` carries the payload fields ``problem``
-    reads, and a predicted insertion reads as the stream's.  The library
-    rejects the same payloads; this check names the file."""
+    reads, and a predicted insertion and a predicted set's element read as
+    the stream's insertions of their element.  The library rejects the same
+    payloads; this check names the file."""
     impl = decremental_max_contract() if problem == "decmax" else _problem_impl(problem)
     need = impl.payload_fields
     predicted = [p.event for p in predictions if p.event.kind == INSERT and not p.is_sentinel]
@@ -117,12 +123,14 @@ def _check_payloads(problem: str, path: str, stream, predicted_set=(), predictio
     short += [f"predicted insertion of {ev.element}" for ev in predicted if len(ev.payload) < need]
     if short:
         raise FileUsage(f"{path}: {short[0]}: payload too short ({problem} reads {need} fields)")
-    realized = {ev.element: ev.payload[:need] for _, ev in stream if ev.kind == INSERT}
-    for ev in predicted:
-        if ev.element in realized and ev.payload[:need] != realized[ev.element]:
+    claims = {el: ("S", payload) for el, _, payload in predicted_set}
+    claims.update((ev.element, ("predicted insertion of", ev.payload)) for ev in predicted)
+    for day, ev in stream:
+        what, claimed = claims.get(ev.element, (None, ev.payload))
+        if ev.kind == INSERT and ev.payload[:need] != claimed[:need]:
             raise FileUsage(
-                f"{path}: predicted insertion of {ev.element}: payload {ev.payload[:need]}, "
-                f"the stream's {realized[ev.element]} ({problem} reads {need} fields)"
+                f"{path}: {what} {ev.element}: payload {claimed[:need]}, the stream's "
+                f"{ev.payload[:need]} on day {day} ({problem} reads {need} fields)"
             )
 
 

@@ -88,8 +88,11 @@ class DecrementalRun:
     the elements announced at the outset; payload[0] is the element's value
     for the max problem (opaque to this adapter otherwise).  An element,
     announced or admitted from outside the set, whose payload has fewer
-    than the contract's ``payload_fields`` fields is a ``ScheduleBug``,
-    raised before the run changes any state.
+    than the contract's ``payload_fields`` fields is a ``ScheduleBug``, and
+    so is an insertion whose payload differs in those fields from the one
+    its element is known by (its predicted set line's or its first
+    admission's), since the decremental algorithm was initialized with the
+    known one; each is raised before the run changes any state.
     """
 
     def __init__(
@@ -117,24 +120,29 @@ class DecrementalRun:
 
     def process_day(self, day: int, ev: Event, reinsertion_day: int | None = None) -> Any:
         """Process the real event of ``day`` and return the day's answer.
-        Every ``ScheduleBug`` (a day out of order, an element admitted from
-        outside the set with a short payload, a deletion of an absent
-        element, or one the engine raises) is raised before the run or its
-        engine changes any state."""
+        Every ``ScheduleBug`` (a day out of order, an insertion with a short
+        payload or one other than its element's known payload, an insertion
+        of a present element, a deletion of an absent one, or one the engine
+        raises) is raised before the run or its engine changes any state."""
         self.engine.check_day(day)
+        present = self._present(ev.element)
         if ev.kind == INSERT:
-            if ev.element not in self.ground:
+            if present:
+                raise ScheduleBug(f"day {day}: insertion of present element {ev.element}")
+            if ev.element in self.ground:
+                need, known = self.contract.payload_fields, self.ground[ev.element]
+                if ev.payload[:need] != known[:need]:
+                    raise ScheduleBug(
+                        f"day {day}: insertion of {ev.element} carries payload "
+                        f"{ev.payload}, the element is known by {known}"
+                    )
+            else:
                 _check_payload(self.contract, ev.element, ev.payload)
                 self._admit_new_element(ev)
             anti = self._anti(ev.element)
             drain(self.engine.process_day(day, Event(anti, DELETE)))
         else:
-            # e is present exactly when its current anti-instance's deletion
-            # has happened
-            rec = None
-            if ev.element in self.ground:
-                rec = self.engine.schedule.by_key.get((self._anti(ev.element), DELETE))
-            if rec is None or not rec.realized:
+            if not present:
                 raise ScheduleBug(f"day {day}: deletion of absent element {ev.element}")
             self.generation[ev.element] += 1
             anti = self._anti(ev.element)
@@ -145,6 +153,13 @@ class DecrementalRun:
                 )
             )
         return self.engine.outputs[-1]
+
+    def _present(self, element: str) -> bool:
+        """Whether ``element`` is present: its anti-instance's deletion has happened."""
+        if element not in self.ground:
+            return False
+        deleted = self.engine.schedule.del_day.get(self._anti(element))
+        return deleted is not None and deleted <= self.engine.current_day
 
     def _admit_new_element(self, ev: Event) -> None:
         """Insertion outside S: grow the set, with the new element's

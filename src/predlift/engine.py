@@ -1,11 +1,12 @@
 """Day loop over a random partition tree: schedule maintenance, retrigger
 recomputation, early/late event handlers, and work accounting.
 
-The engine owns a live schedule of records (one per event lifetime) spread
-over days 0..T+1.  Day 0 holds pre-horizon insertions (elements present
-before the stream starts); day T+1 is the parking zone for predictions
-pushed past the horizon, outside every window of the tree.  Exactly one
-real event arrives per day in [1, T].
+The engine owns a live schedule giving each event lifetime endpoint one
+day in 0..T+1, which has come exactly when the endpoint has happened.  Day
+0 holds pre-horizon insertions (elements present before the stream
+starts); day T+1 is the parking zone for predictions pushed past the
+horizon, outside every window of the tree.  Exactly one real event arrives
+per day in [1, T].
 
 When a real event lands earlier than its prediction, the prediction is
 pulled back to the real day; when a predicted event fails to materialize on
@@ -36,7 +37,7 @@ from typing import Any, Iterator
 
 from .incremental import LiftedIncremental
 from .model import DELETE, END_OF_HORIZON, INSERT, Event, Prediction
-from .scheduling import Assignment, SlotLine, fix_ordering
+from .scheduling import SlotLine, fix_ordering
 from .timetree import PartitionTree
 
 
@@ -83,25 +84,12 @@ class WorkCounters:
         return "\n".join(f"{k}={v}" for k, v in self.as_dict().items())
 
 
-class Rec:
-    """One scheduled event lifetime endpoint (mutable engine-internal)."""
-
-    __slots__ = ("element", "kind", "day", "i", "realized")
-
-    def __init__(self, element: str, kind: str, day: int, realized: bool = False):
-        self.element = element
-        self.kind = kind
-        self.day = day
-        self.i = 0
-        self.realized = realized
-
-    def __repr__(self):
-        flag = "real" if self.realized else f"pred i={self.i}"
-        return f"<{self.element} {self.kind} @{self.day} {flag}>"
-
-
 class Schedule:
-    """Day-indexed event records plus per-(element, kind) lookup.
+    """Each event lifetime endpoint's day: ``ins_day``/``del_day`` map an
+    element to it, and ``days[d]`` lists the ``(element, kind)`` keys on day
+    d in arrival order.  An endpoint has happened exactly when its day is
+    at most the engine's ``current_day``; until then its day is a
+    prediction, pushed ahead ``misses[key]`` times so far.
 
     Each (element, kind) pair has at most one record: the framework tracks
     one lifetime per element id (reinsertions must be instanced by the
@@ -109,29 +97,29 @@ class Schedule:
 
     def __init__(self, T: int):
         self.T = T
-        self.days: list[list[Rec]] = [[] for _ in range(T + 2)]
-        self.by_key: dict[tuple[str, str], Rec] = {}
+        self.days: list[list[tuple[str, str]]] = [[] for _ in range(T + 2)]
         self.payloads: dict[str, tuple] = {}
-        # element -> current scheduled day, kept in lockstep with the
-        # records; these are the hot lookups of every window recompute
+        # the hot lookups of every window recompute
         self.ins_day: dict[str, int] = {}
         self.del_day: dict[str, int] = {}
+        self.misses: dict[tuple[str, str], int] = {}
 
-    def add(self, element: str, kind: str, day: int, realized: bool = False) -> Rec:
-        key = (element, kind)
-        if key in self.by_key:
-            raise ScheduleBug(f"duplicate lifetime for {key}")
-        rec = Rec(element, kind, day, realized)
-        self.by_key[key] = rec
-        self.days[min(day, self.T + 1)].append(rec)
-        (self.ins_day if kind == INSERT else self.del_day)[element] = day
-        return rec
+    def add(self, element: str, kind: str, day: int) -> None:
+        days = self.ins_day if kind == INSERT else self.del_day
+        if element in days:
+            raise ScheduleBug(f"duplicate lifetime for {(element, kind)}")
+        days[element] = day
+        self.days[day].append((element, kind))
 
-    def move(self, rec: Rec, new_day: int) -> None:
-        self.days[min(rec.day, self.T + 1)].remove(rec)
-        rec.day = new_day
-        self.days[min(new_day, self.T + 1)].append(rec)
-        (self.ins_day if rec.kind == INSERT else self.del_day)[rec.element] = new_day
+    def move(self, key: tuple[str, str], new_day: int) -> int:
+        """Move the record ``key`` to ``new_day``; returns the day it left."""
+        element, kind = key
+        days = self.ins_day if kind == INSERT else self.del_day
+        old_day = days[element]
+        self.days[old_day].remove(key)
+        self.days[new_day].append(key)
+        days[element] = new_day
+        return old_day
 
 
 class WindowCtx:
@@ -179,18 +167,18 @@ class WindowCtx:
         if self._kind == INSERT:
             end, del_get = self.end, sched.del_day.get
             out = [
-                rec.element
-                for recs in days
-                for rec in recs
-                if rec.kind == INSERT and del_get(rec.element, never) > end
+                el
+                for keys in days
+                for el, kind in keys
+                if kind == INSERT and del_get(el, never) > end
             ]
         else:
             start, ins_get = self.start, sched.ins_day.get
             out = [
-                rec.element
-                for recs in days
-                for rec in recs
-                if rec.kind == DELETE and ins_get(rec.element, never) <= start
+                el
+                for keys in days
+                for el, kind in keys
+                if kind == DELETE and ins_get(el, never) <= start
             ]
         if len(out) > 1:
             out.sort()
@@ -284,25 +272,25 @@ class Engine:
 
     def resume(self, history: list[tuple[int, Event]]) -> None:
         """Start a fresh engine after the realized events of days 1, 2, ...
-        in ``history``: each goes into the schedule as a realized record on
-        its day, with its payload, and ``current_day`` becomes the last of
-        those days.  The next ``ingest_predictions`` folds them in, so
-        nothing is replayed and ``outputs`` start at the first live day.
-        Raises ``ScheduleBug`` once the engine has started, or when the
-        history is not a stream (a day out of order, a lifetime reused, a
-        deletion of a never-inserted element) or holds an insertion whose
-        payload is too short for the problem."""
+        in ``history``: each goes into the schedule on its day, with its
+        payload, and ``current_day`` becomes the last of those days.  The
+        next ``ingest_predictions`` folds them in, so nothing is replayed
+        and ``outputs`` start at the first live day.  Raises ``ScheduleBug``
+        once the engine has started, or when the history is not a stream (a
+        day out of order, a lifetime reused, a deletion of a never-inserted
+        element) or holds an insertion whose payload is too short for the
+        problem."""
         if self.current_day or self.memory[0] is not None:
             raise ScheduleBug("only a fresh engine can resume")
         need = self.problem.payload_fields
         for day, event in history:
             self.check_day(day)
             if event.kind == DELETE:
-                if (event.element, INSERT) not in self.schedule.by_key:
+                if event.element not in self.schedule.ins_day:
                     raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
             elif len(event.payload) < need:
                 raise ScheduleBug(_short_payload(f"day {day}: insertion", event, need))
-            self.schedule.add(event.element, event.kind, day, realized=True)
+            self.schedule.add(event.element, event.kind, day)
             if event.payload and event.kind == INSERT:
                 self.schedule.payloads[event.element] = event.payload
             self.current_day = day
@@ -314,38 +302,36 @@ class Engine:
         window that has not ended: the whole tree in a fresh engine.
 
         After ``resume``, the slot line first takes the past days, a
-        prediction of a lifetime the history realized is dropped, and the
-        realized insertions go into the ordering fix as exact predictions
-        of themselves, so a predicted deletion of an element inserted in
-        the past is matched to that insertion, not parked past the
-        horizon.  Each kept predicted insertion brings its payload; a
-        ``ScheduleBug`` for a reused lifetime or a payload too short for
-        the problem is raised before any state changes."""
+        prediction of a lifetime the history holds is dropped, and the
+        ordering fix reads the past insertion days from the schedule, so a
+        predicted deletion of an element inserted in the past is matched
+        to that insertion, not parked past the horizon.  Each kept
+        predicted insertion brings its payload; a ``ScheduleBug`` for a
+        reused lifetime or a payload too short for the problem is raised
+        before any state changes."""
         live = [p for p in predictions if not p.is_sentinel]
         seen = set()
-        by_key = self.schedule.by_key
+        ins_day, del_day = self.schedule.ins_day, self.schedule.del_day
         need = self.problem.payload_fields
         for p in live:
             key = p.event.key
             if key in seen:
                 raise ScheduleBug(f"prediction file reuses lifetime {key}")
             seen.add(key)
-            if len(p.event.payload) < need and key[1] == INSERT and key not in by_key:
+            if len(p.event.payload) < need and key[1] == INSERT and key[0] not in ins_day:
                 raise ScheduleBug(_short_payload("predicted insertion", p.event, need))
-        live = [p for p in live if p.event.key not in by_key]
-        past = [Prediction(Event(el, INSERT), day) for el, day in self.schedule.ins_day.items()]
+        held = {INSERT: ins_day, DELETE: del_day}
+        live = [p for p in live if p.event.element not in held[p.event.kind]]
         before = self._slotline.ops
         for day in range(1, self.current_day + 1):
             self._slotline.take(day)
         days = [self._slotline.assign_harmonic(p.predicted_day, self._rng) for p in live]
-        assignment = fix_ordering(
-            Assignment(past + live, [p.predicted_day for p in past] + days, self.T)
-        )
+        days = fix_ordering(live, days, ins_day, self.T)
         ops = self._slotline.ops - before
         self.counters.scheduler_ops += ops
         yield max(1, ops)
         payloads = self.schedule.payloads
-        for p, day in zip(live, assignment.days[len(past) :]):
+        for p, day in zip(live, days):
             ev = p.event
             self.schedule.add(ev.element, ev.kind, min(day, self.T + 1))
             if ev.payload and ev.kind == INSERT:
@@ -355,10 +341,10 @@ class Engine:
                 yield self._recompute(nid)
 
     def preload_day0(self, elements: list[str]) -> None:
-        """Record elements present before day 1 (realized pre-horizon
-        insertions); used by the decremental adapter."""
+        """Record elements present before day 1 (pre-horizon insertions,
+        which have happened on day 0); used by the decremental adapter."""
         for element in elements:
-            self.schedule.add(element, INSERT, 0, realized=True)
+            self.schedule.add(element, INSERT, 0)
 
     def schedule_deletion_prediction(self, element: str, requested_day: int) -> int:
         """Assign a predicted deletion day online against the persistent
@@ -464,11 +450,11 @@ class Engine:
 
     # -- handlers ------------------------------------------------------------
 
-    def process_event_earlier(self, rec: Rec, t: int) -> tuple[int, int]:
-        """Real event on day t ahead of its prediction: pull the record back
-        to t as a real event.  Returns the span of days to repair: the
-        move changes only windows below the span's covering window that
-        meet its days, and no window starting after the old predicted day.
+    def process_event_earlier(self, key: tuple[str, str], t: int) -> tuple[int, int]:
+        """Real event ``key`` on day t ahead of its prediction: pull its
+        record back to t.  Returns the span of days to repair: the move
+        changes only windows below the span's covering window that meet its
+        days, and no window starting after the old predicted day.
 
         The span runs one day further left when the moved record is an
         insertion: a window starting exactly at t tests "inserted on or
@@ -477,16 +463,15 @@ class Engine:
         Widening the span makes every such window a strict descendant of the
         covering window.  (Deletion moves cannot flip a containing window's
         tests: both days stay inside its span, hence at or before its end.)"""
-        t_predict = rec.day
-        self.schedule.move(rec, t)
-        rec.realized = True
-        return (t - 1 if rec.kind == INSERT else t), t_predict
+        t_predict = self.schedule.move(key, t)
+        return (t - 1 if key[1] == INSERT else t), t_predict
 
-    def process_event_later(self, rec: Rec, t: int) -> tuple[int, int]:
-        """Predicted event missed its day: push it 2^i days ahead (doubling
-        per miss) and drag any earlier predicted deletion of the same
-        element along to keep insert-before-delete.  Returns the span of
-        days to repair, widened for an insertion as in
+    def process_event_later(self, key: tuple[str, str], t: int) -> tuple[int, int]:
+        """Predicted event ``key`` missed its day t: push it 2^i days ahead
+        on its i-th miss, and drag its element's deletion, which cannot have
+        happened either, onto the new day when it lies before it, to keep
+        insert-before-delete.  Returns the span of days to repair, widened
+        for an insertion as in
         ``process_event_earlier``: the moves change only windows below the
         span's covering window that meet its days, none starting after the
         new day.
@@ -497,19 +482,20 @@ class Engine:
         original error).  Only a miss on day T itself proves the prediction
         will never realize; then the record parks outside the tree at T+1,
         work charged like the l1 cost T of an unmatched prediction."""
-        rec.i += 1
+        sched = self.schedule
+        misses = sched.misses[key] = sched.misses.get(key, 0) + 1
         self.counters.reschedules += 1
-        target = t + (1 << rec.i)
+        target = t + (1 << misses)
         if target > self.T:
             target = self.T if t < self.T else self.T + 1
-        self.schedule.move(rec, target)
-        if rec.kind == INSERT:
-            dl = self.schedule.by_key.get((rec.element, DELETE))
-            if dl is not None and not dl.realized and dl.day < target:
-                self.schedule.move(dl, target)
-                dl.i += 1
-                self.counters.reschedules += 1
-        return (t - 1 if rec.kind == INSERT else t), target
+        sched.move(key, target)
+        element, kind = key
+        if kind == INSERT and sched.del_day.get(element, target) < target:
+            dkey = (element, DELETE)
+            sched.move(dkey, target)
+            sched.misses[dkey] = sched.misses.get(dkey, 0) + 1
+            self.counters.reschedules += 1
+        return (t - 1 if kind == INSERT else t), target
 
     # -- day loop -------------------------------------------------------------
 
@@ -527,8 +513,12 @@ class Engine:
         before any state changes, so a rejected day leaves the engine as it
         was and the right day can be fed next.
 
-        An insertion carrying ``predicted_deletion_day`` is recorded as
-        realized and its deletion scheduled online, with no retrigger: in an
+        The event's record moves to (or, never predicted, is added on)
+        today, the only record of today that has happened; every other one
+        is pushed ahead, and one walk repairs the moves' spans.
+
+        An insertion carrying ``predicted_deletion_day`` is recorded on
+        today and its deletion scheduled online, with no retrigger: in an
         engine given no predictions every live window starts before today,
         so a lifted incremental problem has none holding the new element.
         Where that does not hold (today's leaf is already live because the
@@ -538,71 +528,72 @@ class Engine:
         After day 1 the root must be live: an engine that ``resume``d and
         never ingested predictions has no windows above today's to build
         on, so its days are a ``ScheduleBug`` too."""
-        online = predicted_deletion_day is not None and event.kind == INSERT
-        rec = self.schedule.by_key.get(event.key)
+        element, kind = event.element, event.kind
+        key = (element, kind)
+        online = predicted_deletion_day is not None and kind == INSERT
+        sched = self.schedule
+        # today's record, if any: a day before today means it has happened
+        scheduled = (sched.ins_day if kind == INSERT else sched.del_day).get(element)
         need = self.problem.payload_fields
         self.check_day(day)
         if day > 1 and self.memory[0] is None:
             raise ScheduleBug(f"day {day}: no live root (a resumed engine must ingest first)")
-        if event.kind == DELETE:
-            ins = self.schedule.by_key.get((event.element, INSERT))
-            if ins is None or not ins.realized:
-                raise ScheduleBug(f"day {day}: deletion of never-inserted {event.element}")
+        if kind == DELETE:
+            inserted = sched.ins_day.get(element)
+            if inserted is None or inserted >= day:
+                raise ScheduleBug(f"day {day}: deletion of never-inserted {element}")
         elif len(event.payload) < need:
             raise ScheduleBug(_short_payload(f"day {day}: insertion", event, need))
         elif (
-            rec is not None
-            and not rec.realized
-            and event.payload != (predicted := self.schedule.payloads.get(event.element, ()))
+            scheduled is not None
+            and scheduled >= day
+            and event.payload != (predicted := sched.payloads.get(element, ()))
             and event.payload[:need] != predicted[:need]
         ):
             raise ScheduleBug(
-                f"day {day}: insertion of {event.element} carries payload {event.payload}, "
+                f"day {day}: insertion of {element} carries payload {event.payload}, "
                 f"its prediction {predicted}"
             )
         elif online and not isinstance(self.problem, LiftedIncremental):
             raise ScheduleBug(
-                f"day {day}: online insertion of {event.element} needs a lifted "
+                f"day {day}: online insertion of {element} needs a lifted "
                 "incremental problem"
             )
         elif online and self.memory[self.tree.leaf_of[day]] is not None:
             raise ScheduleBug(
-                f"day {day}: online insertion of {event.element} into an engine "
+                f"day {day}: online insertion of {element} into an engine "
                 "that ingested predictions"
             )
-        if rec is not None and online:
-            raise ScheduleBug(f"element {event.element} inserted twice")
-        if rec is not None and rec.realized:
-            raise ScheduleBug(f"lifetime of {event.key} reused on day {day}")
-        if rec is not None and rec.day < day:
-            raise ScheduleBug(f"stale prediction {rec!r} survived past its day")
+        if scheduled is not None and online:
+            raise ScheduleBug(f"element {element} inserted twice")
+        if scheduled is not None and scheduled < day:
+            raise ScheduleBug(f"lifetime of {key} reused on day {day}")
         self.current_day = day
         self.counters.day_overhead += 1
         yield 1
-        if event.payload and event.kind == INSERT:
-            self.schedule.payloads[event.element] = event.payload
+        if event.payload and kind == INSERT:
+            sched.payloads[element] = event.payload
 
         spans = []
         if online:
-            self.schedule.add(event.element, INSERT, day, realized=True)
-            self.schedule_deletion_prediction(event.element, predicted_deletion_day)
+            sched.add(element, INSERT, day)
+            self.schedule_deletion_prediction(element, predicted_deletion_day)
             yield 1
-        elif rec is None:
+        elif scheduled is None:
             # never predicted: default prediction at the end of the horizon
-            self.schedule.add(event.element, event.kind, day, realized=True)
+            sched.add(element, kind, day)
             spans.append((day, self.T + 1))
-        elif day < rec.day:
-            spans.append(self.process_event_earlier(rec, day))
-        else:
-            rec.realized = True
+        elif day < scheduled:
+            spans.append(self.process_event_earlier(key, day))
 
-        # snapshot, then reschedule every unrealized prediction of this day
-        batch = list(self.schedule.days[day])
+        # snapshot, then push ahead every record of today but today's event,
+        # none of which has happened
+        batch = list(sched.days[day])
         if len(batch) > self.counters.batch_max:
             self.counters.batch_max = len(batch)
-        for r in batch:
-            if not r.realized:
-                spans.append(self.process_event_later(r, day))
+        for other in batch:
+            if other != key:
+                spans.append(self.process_event_later(other, day))
                 yield 1
         if spans:
             yield from self.retrigger(spans)

@@ -8,15 +8,15 @@ Occupied days are tracked as blocks in a union-find
 structure whose representatives know the nearest open day on each side, so
 an assignment costs a near-constant number of union-find operations.
 
-A post-pass moves every deletion scheduled before its element's insertion
-onto the insertion's day, after which each day holds at most one insertion
-and at most one deletion.
+A post-pass over one lifetime per element moves every deletion scheduled
+before its element's insertion onto the insertion's day, and a deletion
+with no insertion past the horizon, after which each day holds at most one
+insertion and at most one deletion.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .model import DELETE, INSERT, Prediction
 
@@ -115,42 +115,24 @@ class SlotLine:
         return self.take(lt if rng.random() < p_left else rt)
 
 
-@dataclass
-class Assignment:
-    """Predictions with their assigned days, in input order."""
-
-    predictions: list[Prediction]
-    days: list[int]
-    T: int
-
-
-def fix_ordering(a: Assignment) -> Assignment:
-    """Move each deletion scheduled before its element's insertion to the
-    insertion's day; surplus deletions with no matching insertion go to the
-    slot just past the horizon.
+def fix_ordering(
+    predictions: list[Prediction], days: list[int], ins_day: dict[str, int], T: int
+) -> list[int]:
+    """The assigned ``days`` of ``predictions`` (one lifetime per element),
+    with each deletion assigned before its element's insertion moved onto
+    the insertion's day and each deletion with no insertion moved to the
+    slot just past the horizon.  An element's insertion is its predicted
+    one, or else the one already scheduled in ``ins_day``.
 
     One linear pass; afterwards each day holds at most one insertion and at
     most one deletion, because a moved deletion always lands on a day that
     held only its insertion.
     """
-    ins: dict[str, list[int]] = {}
-    for p, d in zip(a.predictions, a.days):
-        if p.event.kind == INSERT:
-            ins.setdefault(p.event.element, []).append(d)
-    for days in ins.values():
-        days.sort()
-
-    order: dict[str, list[tuple[int, int]]] = {}
-    for idx, (p, d) in enumerate(zip(a.predictions, a.days)):
+    ins = {p.event.element: d for p, d in zip(predictions, days) if p.event.kind == INSERT}
+    fixed = []
+    for p, d in zip(predictions, days):
         if p.event.kind == DELETE:
-            order.setdefault(p.event.element, []).append((d, idx))
-
-    new_days = list(a.days)
-    for element, dl in order.items():
-        il = ins.get(element, ())
-        for k, (d, idx) in enumerate(sorted(dl)):
-            if k >= len(il):
-                new_days[idx] = a.T + 1
-            elif d < il[k]:
-                new_days[idx] = il[k]
-    return Assignment(a.predictions, new_days, a.T)
+            inserted = ins.get(p.event.element, ins_day.get(p.event.element))
+            d = T + 1 if inserted is None else max(d, inserted)
+        fixed.append(d)
+    return fixed

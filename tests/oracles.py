@@ -1,23 +1,25 @@
 """Brute-force oracles and batch helpers that the tests compare the library
-against: batch slot assignment, the minimum-l1 and minimum-linf
-assignments, feasibility and displacement of an assignment, and the
-partition tree's window test straight from divider priorities and a
-window's span, an element's liveness on a day read from a schedule, an
-engine's state in comparable form, an engine that repairs each moved
-record's span on its own, the live windows that differ from a fresh
-top-down compute, a window's permanent elements by brute force, records
-of every window compute as it happens, of those that run after the
-window's last day and of those a repair walk runs, connectivity's insert
-and output with helper root finds, the boosting loop that
-brings each new epoch's instances up to today by replaying every past day,
-a steppable engine that counts its steps, a record of the backstops built,
-a minimum spanning forest by plain Kruskal, and an MSF window computed
-pass by pass."""
+against: batch slot assignment as an ``Assignment`` of days to
+predictions, the minimum-l1 and minimum-linf assignments, feasibility and
+displacement of an assignment, and the partition tree's window test
+straight from divider priorities and a window's span, an element's
+liveness on a day read from a schedule, a check that a schedule's records
+have happened exactly on their days, an engine's state in comparable
+form, an engine that repairs each moved record's span on its own, the
+live windows that differ from a fresh top-down compute, a window's
+permanent elements by brute force, records of every window compute as it
+happens, of those that run after the window's last day and of those a
+repair walk runs, connectivity's insert and output with helper root
+finds, the boosting loop that brings each new epoch's instances up to
+today by replaying every past day, a steppable engine that counts its
+steps, a record of the backstops built, a minimum spanning forest by
+plain Kruskal, and an MSF window computed pass by pass."""
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from dataclasses import dataclass
 from math import ceil, log2
 from typing import Any
 
@@ -28,10 +30,19 @@ from predlift.engine import Engine, WindowCtx
 from predlift.incremental import LiftedIncremental
 from predlift.model import DELETE, INSERT, Event, Prediction
 from predlift.problems import ConnectivityContract, MsfGraph, MsfProblem
-from predlift.scheduling import Assignment, SlotLine
+from predlift.scheduling import SlotLine
 from predlift.timetree import PartitionTree
 
 # -- slot assignment ----------------------------------------------------------
+
+
+@dataclass
+class Assignment:
+    """Predictions with their assigned days, in input order."""
+
+    predictions: list[Prediction]
+    days: list[int]
+    T: int
 
 
 def assign_greedy(line: SlotLine, t: int) -> int:
@@ -217,18 +228,33 @@ def alive_on(schedule, element: str, day: int) -> bool:
     return ins is not None and ins <= day < schedule.del_day.get(element, schedule.T + 1)
 
 
+def assert_happened_on_their_days(eng, happened: dict[tuple[str, str], int]) -> None:
+    """Each event in ``happened`` (its key -> the day it happened) is
+    scheduled on that day, and every other record on a day after the
+    engine's ``current_day``: a record has happened exactly when its day
+    has come.  Each record also sits in the day bucket of its day, and no
+    bucket holds any other."""
+    sched, today = eng.schedule, eng.current_day
+    for kind, days in ((INSERT, sched.ins_day), (DELETE, sched.del_day)):
+        for element, day in days.items():
+            key = (element, kind)
+            assert key in sched.days[day], (key, day)
+            assert day == happened[key] if key in happened else day > today, (key, day, today)
+    assert all(key[0] in (sched.ins_day if key[1] == INSERT else sched.del_day) for key in happened)
+    assert sum(map(len, sched.days)) == len(sched.ins_day) + len(sched.del_day)
+
+
 def engine_state(eng) -> tuple:
     """What a day of ``Engine.process_day`` may change, in comparable form:
-    the day, the outputs, the counters, every schedule record by day and
-    by key with the lookups beside them, and the window memories."""
+    the day, the outputs, the counters, every schedule record by day, the
+    lookups and miss counts beside them, and the window memories."""
     sched = eng.schedule
     return (
         eng.current_day,
         list(eng.outputs),
         eng.counters.as_dict(),
-        [[repr(rec) for rec in recs] for recs in sched.days],
-        {key: repr(rec) for key, rec in sched.by_key.items()},
-        (dict(sched.payloads), dict(sched.ins_day), dict(sched.del_day)),
+        [list(keys) for keys in sched.days],
+        (dict(sched.payloads), dict(sched.ins_day), dict(sched.del_day), dict(sched.misses)),
         repr(eng.memory),
     )
 
@@ -295,7 +321,7 @@ def reference_permanents(eng, nid: int) -> list[str]:
     parent = tree.parent[nid]
     return sorted(
         el
-        for el in {el for el, _ in sched.by_key}
+        for el in sched.ins_day.keys() | sched.del_day.keys()
         if across(el, nid) and (parent == -1 or not across(el, parent))
     )
 

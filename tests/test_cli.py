@@ -333,6 +333,19 @@ def test_boosted_rejects_a_count_below_one(tmp_path, capsys):
         assert "at least 1" in captured.err and not captured.out.strip(), (flag, value)
 
 
+def test_decmax_insertion_other_than_its_set_value_names_the_file(tmp_path, capsys):
+    """The max is initialized with the predicted set's values, so an
+    insertion carrying another value is an input error naming the file and
+    the S line, in both commands, not a run that answers with the old
+    value."""
+    inst = tmp_path / "revalued.inst"
+    inst.write_text("S a 1 5\nS b 2 7\n1 I a 100\n2 I b 7\n3 D b never\n4 D a never\n")
+    for cmd in ("run", "verify"):
+        assert main([cmd, "--problem", "decmax", "--instance", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert f"{inst}: S a" in err and "(100,)" in err, cmd
+
+
 def test_missing_files_exit_code():
     rc = main(["run", "--problem", "counter", "--seed", "1"])
     assert rc == 2
@@ -362,4 +375,9 @@ def test_generate_rejects_an_empty_horizon_and_a_lone_vertex(tmp_path, capsys):
         rc = main(["generate", "--problem", problem, "--T", "8", "--n", "1", "--out", out])
         assert rc == 2
         assert f"--n must be at least 2 for {problem}" in capsys.readouterr().err
+    # a flag the generator never reads is rejected, not ignored
+    rc = main(["generate", "--problem", "decmax", "--T", "8", "--deletion-predicted", "--out", out])
+    assert rc == 2
+    assert "--deletion-predicted" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
     assert main(["generate", "--problem", "counter", "--T", "8", "--n", "1", "--out", out]) == 0

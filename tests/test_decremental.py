@@ -60,6 +60,45 @@ def test_short_payload_rejected_before_any_state_changes():
     for day, ev in stream[1:]:
         run.process_day(day, ev)
     assert run.outputs == oracle_daily_outputs("decmax", stream) == [5, 9, 9]
+    # an insertion whose value is not the one its element is known by, the
+    # predicted set's or its first admission's, which the max was
+    # initialized with: rejected, not answered with the known value
+    run = DecrementalRun(decremental_max_contract(), [("a", 1, (5,)), ("b", 2, (7,))], 6, 0)
+    for day, ev in [(1, Event("a", INSERT, (100,))), (1, Event("a", INSERT))]:
+        before = run_state(run)
+        with pytest.raises(ScheduleBug, match="payload"):
+            run.process_day(day, ev)
+        assert run_state(run) == before
+    stream = [
+        (1, Event("a", INSERT, (5,))),
+        (2, Event("z", INSERT, (9,))),
+        (3, Event("z", DELETE)),
+        (4, Event("z", INSERT, (9,))),
+    ]
+    for day, ev in stream[:3]:
+        run.process_day(day, ev)
+    before = run_state(run)
+    with pytest.raises(ScheduleBug, match="payload"):
+        run.process_day(4, Event("z", INSERT, (10,)))
+    assert run_state(run) == before
+    run.process_day(*stream[3])
+    assert run.outputs == oracle_daily_outputs("decmax", stream) == [5, 9, 5, 9]
+
+
+def test_insertion_of_present_element_rejected():
+    """Inserting an element that is present is rejected by the run, naming
+    the element, before the engine sees its anti-instance, and changes no
+    state; an announced element and one admitted from outside alike."""
+    run = DecrementalRun(decremental_max_contract(), [("a", 1, (5,))], 6, 0)
+    run.process_day(1, Event("a", INSERT, (5,)))
+    run.process_day(2, Event("z", INSERT, (9,)))
+    for element, value in (("a", 5), ("z", 9)):
+        before = run_state(run)
+        with pytest.raises(ScheduleBug, match=f"^day 3: insertion of present element {element}$"):
+            run.process_day(3, Event(element, INSERT, (value,)))
+        assert run_state(run) == before
+    run.process_day(3, Event("z", DELETE))
+    assert run.outputs == [5, 9, 5]
 
 
 def test_out_of_set_insertion_triggers_one_reinit_and_full_retrigger():

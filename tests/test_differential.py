@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from oracles import (
     CountingSteppable,
     PerSpanEngine,
+    assert_happened_on_their_days,
     backstops_built,
     comparable,
     ended_window_computes,
@@ -215,7 +216,7 @@ def test_boosted_engines_take_past_payloads_from_the_events():
 def test_each_epoch_starts_its_engines_at_today(monkeypatch):
     """Every engine a doubling day builds computes at ingest exactly the
     windows that end on or after that day, once each, holds every past
-    event as a realized record on its day, and after its first live day
+    event on its day, where it has happened, and after its first live day
     every window that can still be read answers as a fresh compute."""
     computes = []
     recompute = Engine._recompute
@@ -244,8 +245,8 @@ def test_each_epoch_starts_its_engines_at_today(monkeypatch):
             at_ingest = [nid for e, day, nid in computes if e is eng and day == first - 1]
             assert at_ingest == [n for n in range(tree.n_nodes()) if tree.end[n] >= first], case
             for day, ev in inst.stream[: first - 1]:
-                rec = eng.schedule.by_key[ev.key]
-                assert rec.realized and rec.day == day, case
+                days = eng.schedule.ins_day if ev.kind == INSERT else eng.schedule.del_day
+                assert days[ev.element] == day < first, case
             assert eng.current_day == first and len(eng.outputs) == 1, case
             assert not stale_windows(eng), case
 
@@ -264,6 +265,55 @@ def test_each_epoch_starts_its_engines_at_today(monkeypatch):
         outputs, epochs = boost_run(factory, bundles, stream_checking_first_days(), 8, config)
         assert outputs == oracle_daily_outputs(problem, inst.stream)
         assert len(built) == sum(e.L for e in epochs)
+
+
+def test_records_have_happened_exactly_on_their_days(monkeypatch):
+    """After every day of predicted, offline, deletion-predicted, boosted
+    and decremental runs, each event that has happened (on a day, in a
+    resumed history or before day 1) is scheduled on its real day, and
+    every other record on a day after today, which is what lets a record's
+    day alone say whether it has happened.  Several error models, seeds
+    0-1, at T = 32."""
+    happened: dict[Engine, dict] = {}
+    process_day, resume, preload = Engine.process_day, Engine.resume, Engine.preload_day0
+    days_checked = []
+
+    def processing(eng, day, event, predicted_deletion_day=None):
+        yield from process_day(eng, day, event, predicted_deletion_day)
+        happened.setdefault(eng, {})[event.key] = day
+        assert_happened_on_their_days(eng, happened[eng])
+        days_checked.append(day)
+
+    def resuming(eng, history):
+        resume(eng, history)
+        happened.setdefault(eng, {}).update((ev.key, day) for day, ev in history)
+
+    def preloading(eng, elements):
+        preload(eng, elements)
+        happened.setdefault(eng, {}).update(((el, INSERT), 0) for el in elements)
+
+    monkeypatch.setattr(Engine, "process_day", processing)
+    monkeypatch.setattr(Engine, "resume", resuming)
+    monkeypatch.setattr(Engine, "preload_day0", preloading)
+    T = 32
+    models = [ErrorModel("uniform", 6), ErrorModel("drop", 4, 0.3), ErrorModel("inject", 64)]
+    for model, seed in product(models, range(2)):
+        for problem in PROBLEMS:
+            inst = generate_offline_instance(problem, 8, T, model, seed)
+            for mode in ("predicted", "offline"):
+                run_mode(mode, problem, inst, seed)
+            boosted(problem, inst, seed, 2)
+            if problem != "msf":
+                items, _ = generate_deletion_predicted_stream(problem, 8, T, model, seed)
+                eng = Engine(problem_impl(problem), T, seed)
+                for day, ev, pred in items:
+                    drain(eng.process_day(day, ev, predicted_deletion_day=pred))
+        if model.kind != "inject":
+            predicted_set, items, _ = generate_insertion_predicted_instance(12, T, model, seed)
+            run = DecrementalRun(decremental_max_contract(), predicted_set, T, seed)
+            for day, ev, reins in items:
+                run.process_day(day, ev, reins)
+    assert len(days_checked) > 50 * T
 
 
 def backstop_pair(problem, inst, seed):

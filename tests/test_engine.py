@@ -74,13 +74,13 @@ def test_late_event_first_reschedule_distance_two():
     eng = make_engine(12, preds)
     drain(eng.process_day(1, Event("a", INSERT)))
     drain(eng.process_day(2, Event("c", INSERT)))  # b misses its day
-    rec = eng.schedule.by_key[("b", INSERT)]
-    assert rec.day == 4  # first reschedule jumps 2^1
-    assert rec.i == 1
+    sched = eng.schedule
+    assert sched.ins_day["b"] == 4  # first reschedule jumps 2^1
+    assert sched.misses[("b", INSERT)] == 1
     drain(eng.process_day(3, Event("d", INSERT)))
     drain(eng.process_day(4, Event("e", INSERT)))  # b misses again
-    assert rec.day == 8  # then 2^2
-    assert rec.i == 2
+    assert sched.ins_day["b"] == 8  # then 2^2
+    assert sched.misses[("b", INSERT)] == 2
 
 
 def test_ordering_constraint_drags_deletion():
@@ -90,11 +90,10 @@ def test_ordering_constraint_drags_deletion():
     drain(eng.process_day(2, Event("y", INSERT)))  # a's insert misses: to day 4
     drain(eng.process_day(3, Event("w", INSERT)))
     drain(eng.process_day(4, Event("v", INSERT)))  # a's insert misses: to day 8
-    ins = eng.schedule.by_key[("a", INSERT)]
-    dl = eng.schedule.by_key[("a", DELETE)]
-    assert ins.day == 8
-    assert dl.day == 8  # dragged along to keep insert-before-delete
-    assert dl.i >= 1
+    sched = eng.schedule
+    assert sched.ins_day["a"] == 8
+    assert sched.del_day["a"] == 8  # dragged along to keep insert-before-delete
+    assert sched.misses[("a", DELETE)] >= 1
 
 
 def test_out_of_order_day_rejected():
@@ -133,8 +132,8 @@ def test_duplicate_lifetime_rejected():
 
 
 def test_resumed_engine_starts_after_its_history():
-    """A resumed engine holds its history as realized records and drops the
-    predictions it realized.  With the rest exact, no retrigger fires, the
+    """A resumed engine holds its history on its days and drops the
+    predictions of lifetimes the history holds.  With the rest exact, no retrigger fires, the
     predicted deletion of an element inserted in the past included, and
     its outputs start at its first live day."""
     history = [(1, Event("a", INSERT)), (2, Event("b", INSERT))]
@@ -217,7 +216,7 @@ def test_short_payloads_are_schedule_bugs():
         eng = Engine(problem(), inst.T, 2)
         with pytest.raises(ScheduleBug, match="payload"):
             drain(eng.process_day(day, Event(ev.element, INSERT)))
-        assert eng.current_day == 0 and not eng.schedule.by_key, name
+        assert eng.current_day == 0 and not any(eng.schedule.days), name
         with pytest.raises(ScheduleBug, match="payload"):
             Engine(problem(), inst.T, 2).resume([(day, Event(ev.element, INSERT))])
 
@@ -358,7 +357,7 @@ def test_online_insertion_into_ingested_engine_rejected():
     drain(eng.process_day(1, Event("a", INSERT)))
     with pytest.raises(ScheduleBug, match="ingested"):
         drain(eng.process_day(2, Event("b", INSERT), predicted_deletion_day=5))
-    assert eng.current_day == 1 and ("b", INSERT) not in eng.schedule.by_key
+    assert eng.current_day == 1 and "b" not in eng.schedule.ins_day
     assert eng.outputs == [1]
 
 
@@ -369,4 +368,4 @@ def test_online_insertion_needs_lifted_incremental_problem():
     eng = Engine(msf_problem(), 8, 1)
     with pytest.raises(ScheduleBug, match="lifted incremental"):
         drain(eng.process_day(1, Event("a", INSERT, (0, 1, 5)), predicted_deletion_day=3))
-    assert eng.current_day == 0 and not eng.schedule.by_key
+    assert eng.current_day == 0 and not any(eng.schedule.days)

@@ -41,14 +41,14 @@ def chain_windows(tree, day):
 def test_element_spanning_horizon_is_root_permanent():
     inst = generate_offline_instance("counter", 4, 16, ErrorModel("exact"), 1)
     eng = Engine(lift_incremental(counter_contract()), 16, 0)
-    eng.schedule.add("whole", INSERT, 1, realized=True)
+    eng.schedule.add("whole", INSERT, 1)
     assert WindowCtx(eng, 0).permanents() == ["whole"]
 
 
 def test_same_day_lifetime_is_permanent_nowhere():
     eng = Engine(lift_incremental(counter_contract()), 8, 0)
-    eng.schedule.add("blip", INSERT, 3, realized=True)
-    eng.schedule.add("blip", DELETE, 3, realized=True)
+    eng.schedule.add("blip", INSERT, 3)
+    eng.schedule.add("blip", DELETE, 3)
     for nid in range(eng.tree.n_nodes()):
         assert "blip" not in WindowCtx(eng, nid).permanents()
 
@@ -56,7 +56,7 @@ def test_same_day_lifetime_is_permanent_nowhere():
 def assert_partition(eng):
     """On every day t, the union of permanents over the chain of windows
     containing t is the set of elements active on t, none counted twice."""
-    elements = {el for el, _ in eng.schedule.by_key}
+    elements = eng.schedule.ins_day.keys() | eng.schedule.del_day.keys()
     for day in range(1, eng.T + 1):
         union, total = set(), 0
         for nid in chain_windows(eng.tree, day):
@@ -117,9 +117,7 @@ def test_permanents_bounded_by_sibling_event_count():
                 kind, (lo, hi) = DELETE, span(tree, tree.right[parent])
             else:
                 kind, lo, hi = INSERT, tree.start[parent] + 1, tree.start[nid]
-            events = sum(
-                rec.kind == kind for d in range(lo, hi + 1) for rec in eng.schedule.days[d]
-            )
+            events = sum(k == kind for d in range(lo, hi + 1) for _, k in eng.schedule.days[d])
             assert len(WindowCtx(eng, nid).permanents()) <= events
             checked += 1
     assert checked > 1000
@@ -253,11 +251,9 @@ def test_jit_insertions_never_retrigger():
             if ev.kind == INSERT:
                 # an insertion may strand a prediction already scheduled for
                 # this day (late handler) but never fires the early handler;
-                # with no prediction on this day there is no retrigger
-                same_day = [
-                    r for r in eng.schedule.days[day] if not r.realized and r.day == day
-                ]
-                assert not same_day
+                # the late handler pushes every such prediction ahead, so
+                # only the insertion itself stays on its day
+                assert eng.schedule.days[day] == [ev.key]
         want = oracle_daily_outputs("counter", [(d, e) for d, e, _ in items])
         assert eng.outputs == want
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Assignment,
     displacement,
     greedy_assign,
     harmonic_assign,
@@ -17,7 +18,7 @@ from oracles import (
     optimal_offline_assign,
 )
 from predlift.model import DELETE, INSERT, Event, Prediction, l1_error
-from predlift.scheduling import Assignment, SlotLine, fix_ordering
+from predlift.scheduling import SlotLine, fix_ordering
 
 
 def P(el, kind, day):
@@ -76,24 +77,25 @@ def test_union_find_op_budget():
 
 def test_fix_ordering_moves_deletion_to_insertion_day():
     ps = [P("e", INSERT, 7), P("e", DELETE, 3)]
-    a = Assignment(ps, [7, 3], T=10)
-    fixed = fix_ordering(a)
-    assert fixed.days == [7, 7]
-    assert is_feasible(fixed)
+    fixed = fix_ordering(ps, [7, 3], {}, T=10)
+    assert fixed == [7, 7]
+    assert is_feasible(Assignment(ps, fixed, T=10))
+    # an insertion already scheduled drags a deletion assigned before it
+    ps = [P("e", DELETE, 3), P("f", DELETE, 8)]
+    assert fix_ordering(ps, [3, 8], {"e": 5, "f": 5}, T=10) == [5, 8]
 
 
 def test_fix_ordering_noop_when_ordered():
     ps = [P("e", INSERT, 2), P("e", DELETE, 6)]
-    fixed = fix_ordering(Assignment(ps, [2, 6], T=10))
-    assert fixed.days == [2, 6]
+    assert fix_ordering(ps, [2, 6], {}, T=10) == [2, 6]
 
 
 def test_fix_ordering_surplus_deletion_to_past_horizon():
-    ps = [P("e", DELETE, 1), P("e", DELETE, 4), P("e", INSERT, 6)]
-    fixed = fix_ordering(Assignment(ps, [1, 4, 6], T=10))
-    # first deletion pairs with the insertion, second has none
-    assert fixed.days == [6, 11, 6]
-    assert is_feasible(fixed)
+    ps = [P("e", DELETE, 4), P("f", INSERT, 6)]
+    fixed = fix_ordering(ps, [4, 6], {}, T=10)
+    # e has no insertion, predicted or scheduled
+    assert fixed == [11, 6]
+    assert is_feasible(Assignment(ps, fixed, T=10))
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,11 +110,11 @@ def test_fix_ordering_error_at_most_doubled(seed):
         ps += [P(f"e{i}", INSERT, rng.randint(1, T)), P(f"e{i}", DELETE, rng.randint(1, T))]
         rs += [(Event(f"e{i}", INSERT), ins), (Event(f"e{i}", DELETE), dl)]
     a = harmonic_assign(ps, T, seed=seed)
-    fixed = fix_ordering(a)
+    fixed = fix_ordering(a.predictions, a.days, {}, T)
     before = [Prediction(p.event, d) for p, d in zip(a.predictions, a.days)]
-    after = [Prediction(p.event, d) for p, d in zip(fixed.predictions, fixed.days)]
+    after = [Prediction(p.event, d) for p, d in zip(a.predictions, fixed)]
     assert l1_error(after, rs, T) <= 2 * l1_error(before, rs, T)
-    assert is_feasible(fixed)
+    assert is_feasible(Assignment(a.predictions, fixed, T))
 
 
 def test_optimal_three_at_same_day():
