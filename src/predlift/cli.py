@@ -76,6 +76,12 @@ def cmd_generate(args) -> int:
         raise FileUsage(
             "--deletion-predicted does not apply to decmax, whose instances predict insertions"
         )
+    # an MSF window reads the edges inside it, which an online insertion skips
+    if args.problem == "msf" and args.deletion_predicted:
+        raise FileUsage(
+            "--deletion-predicted does not apply to msf: the setting lifts incremental "
+            "algorithms only"
+        )
     model = ErrorModel(args.model, sigma=args.sigma, rho=args.rho)
     if args.problem == "decmax":
         predicted_set, events, err = generate_insertion_predicted_instance(

@@ -13,15 +13,26 @@ pulled back to the real day; when a predicted event fails to materialize on
 its day, it is pushed 2^i days ahead (doubling with each miss).  Either move
 can change only the windows below the smallest window containing both of
 its days that meet the days between them, so each move yields that span
-of days.  Once a day has moved its records, one repair walk recomputes,
-each at most once and after its parent, every window below the spans'
-covering windows that meets a moved day: one that has not ended and starts
-on or before the farthest day of any span.  The walk never touches windows
-whose unordered event set is unchanged, which is what ties total work to
-the l1 prediction error.  A window whose last day has passed keeps its last
-memory but is never recomputed or read again, since a day's answer is read
-from its own leaf.  A window that starts after every moved day keeps its
-memory too: it still answers its days, as the problem protocol requires.
+of days.  Once a day has moved its records, one repair walk visits, each
+at most once and after its parent, every window below the spans' covering
+windows that meets a moved day: one that has not ended and starts on or
+before the farthest day of any span.  A window whose last day has passed
+keeps its last memory but is never recomputed or read again, since a day's
+answer is read from its own leaf.  A window that starts after every moved
+day keeps its memory too: it still answers its days, as the problem
+protocol requires.
+
+A lifted incremental window's memory is exactly the set of elements alive
+across it: inserted on or before its start and deleted after its end.
+Moving an insertion between days a and b flips "inserted on or before the
+start" only for windows whose start lies in [min(a, b), max(a, b)), and
+moving a deletion flips "deleted after the end" only for windows whose end
+lies there.  So for such a problem the walk recomputes a visited window
+only when a moved endpoint crosses its start or end, and descends through
+the others, whose alive-across sets are unchanged, keeping their memories:
+repair work follows where the moves land, which is what ties it to the l1
+prediction error.  An MSF window also reads the events inside it, so the
+walk recomputes every window it visits.
 
 All long-running entry points are generators that yield work-unit counts,
 so an engine can be driven to completion in a tight loop or preempted after
@@ -223,7 +234,10 @@ class Engine:
     that no moved record reaches, even when it recomputes its parent, so
     the kept memory, built from the parent's old memory, must still answer
     as a fresh compute would, though it may differ in form (a connectivity
-    window keeps a union-find of another shape).
+    window keeps a union-find of another shape).  A ``LiftedIncremental``
+    window (``lifted`` is set) answers for its alive-across set alone, so
+    the walk also keeps one whose start and end no moved endpoint crosses:
+    that set is the same, so the kept memory still answers as a fresh one.
 
     ``memory[nid]`` holds a window's computed memory, or None while the
     window is not live, and ``contexts[nid]`` the window's ``WindowCtx``,
@@ -254,6 +268,8 @@ class Engine:
         (``perfbench/workloads.py``); the parameter goes once that caller
         stops passing it."""
         self.problem = problem
+        # a lifted window's memory is its alive-across set; see ``retrigger``
+        self.lifted = isinstance(problem, LiftedIncremental)
         self.T = T
         self.counters = WorkCounters()
         self.schedule = Schedule(T)
@@ -266,6 +282,9 @@ class Engine:
         self._rng = random.Random(seed)
         self._slotline = SlotLine(T)
         self.current_day = 0
+        # the moved endpoints of today's records, ``(kind, old day, new
+        # day)``, that today's repair walk has not been handed yet
+        self.moves: list[tuple[str, int, int]] = []
         self.outputs: list[Any] = []
 
     # -- preprocessing -----------------------------------------------------
@@ -382,16 +401,18 @@ class Engine:
         self.counters.preprocess_units += units
         return max(1, units)
 
-    def retrigger(self, spans: list[tuple[int, int]]) -> Iterator[int]:
+    def retrigger(
+        self, spans: list[tuple[int, int]], moves: list[tuple[str, int, int]]
+    ) -> Iterator[int]:
         """Repair the windows a day's moved records can have changed: each
-        ``(lo, hi)`` span of days charges one retrigger call, and then every
-        live descendant of the smallest window holding a span's two days
-        that meets some moved day is recomputed once, in node-id order.
-        A parent's id is smaller than its children's, so every window reads
-        its parent's fresh memory, and a window below several spans is
-        recomputed once however many of them reach it.  The walk calls the
-        problem's ``compute_window`` itself and charges each recompute's
-        units to ``retrigger_units``.
+        ``(lo, hi)`` span of days charges one retrigger call, and then the
+        walk visits, once each and in node-id order, every live descendant
+        of the smallest window holding a span's two days that meets some
+        moved day.  A parent's id is smaller than its children's, so every
+        window reads its parent's fresh memory, and a window below several
+        spans is visited once however many of them reach it.  The walk
+        calls the problem's ``compute_window`` itself and charges each
+        recompute's units to ``retrigger_units``.
 
         Every span holds today, so a window meets a moved day exactly when
         it has not ended and starts on or before ``reach``, the farthest
@@ -403,10 +424,25 @@ class Engine:
         alive across it and the same events inside it (the protocol's
         requirement in ``Engine``).
 
+        ``moves`` lists the day's moved endpoints as ``(kind, old day, new
+        day)``, old day T+1 for a record added today.  For a lifted problem
+        a visited window is recomputed only when a moved insertion's
+        ``[min(old, new), max(old, new))`` holds its start or a moved
+        deletion's holds its end: only then can its alive-across set, and
+        so its memory, have changed.  Any other visited window keeps its
+        memory, is charged nothing, and the walk descends through it.  Every
+        such crossed window lies strictly below its move's covering window
+        (an insertion's span starts one day before the move's first day),
+        so the walk reaches it.  Every other problem recomputes every window
+        the walk visits.
+
         A span leaving ``[1, T]`` means the event left or entered the tree
         entirely, which invalidates the root as well: the walk starts at the
-        root, and ``reach`` is T+1, so it covers every live window below it
-        that has not ended."""
+        root, and ``reach`` is T+1, so it visits every live window below it
+        that has not ended.  A never-predicted deletion's range [today, T+1)
+        holds the end of the root and of every window that has not ended, so
+        the decremental adapter's admissions, whose root reads the grown
+        ground set, still recompute all of them."""
         tree = self.tree
         heap = []
         for lo, hi in spans:
@@ -420,6 +456,13 @@ class Engine:
                     heap += (tree.left[top], tree.right[top])
         reach = max(hi for _, hi in spans)
         heapify(heap)
+        lifted = self.lifted
+        if lifted:
+            starts, ends = [], []
+            for kind, old, new in moves:
+                (starts if kind == INSERT else ends).append(
+                    (old, new) if old < new else (new, old)
+                )
         memory, contexts, counters = self.memory, self.contexts, self.counters
         compute, parent = self.problem.compute_window, tree.parent
         start, end, left, right = tree.start, tree.end, tree.left, tree.right
@@ -433,17 +476,22 @@ class Engine:
             if nid == last or memory[nid] is None or end[nid] < today or start[nid] > reach:
                 continue
             last = nid
-            p = parent[nid]
-            # a live window's context was built at its first compute
-            mem, compute_units, clone_units = compute(
-                contexts[nid], memory[p] if p != -1 else None
-            )
-            memory[nid] = mem
-            units = compute_units + clone_units
-            counters.window_compute_units += compute_units
-            counters.clone_units += clone_units
-            counters.retrigger_units += units
-            yield max(1, units)
+            if (
+                not lifted
+                or (starts and _crosses(starts, start[nid]))
+                or (ends and _crosses(ends, end[nid]))
+            ):
+                p = parent[nid]
+                # a live window's context was built at its first compute
+                mem, compute_units, clone_units = compute(
+                    contexts[nid], memory[p] if p != -1 else None
+                )
+                memory[nid] = mem
+                units = compute_units + clone_units
+                counters.window_compute_units += compute_units
+                counters.clone_units += clone_units
+                counters.retrigger_units += units
+                yield max(1, units)
             if left[nid] != -1:
                 heappush(heap, left[nid])
                 heappush(heap, right[nid])
@@ -452,9 +500,10 @@ class Engine:
 
     def process_event_earlier(self, key: tuple[str, str], t: int) -> tuple[int, int]:
         """Real event ``key`` on day t ahead of its prediction: pull its
-        record back to t.  Returns the span of days to repair: the move
-        changes only windows below the span's covering window that meet its
-        days, and no window starting after the old predicted day.
+        record back to t, and append the move to ``self.moves`` as ``(kind,
+        old day, t)``.  Returns the span of days to repair: the move changes
+        only windows below the span's covering window that meet its days,
+        and no window starting after the old predicted day.
 
         The span runs one day further left when the moved record is an
         insertion: a window starting exactly at t tests "inserted on or
@@ -464,17 +513,19 @@ class Engine:
         covering window.  (Deletion moves cannot flip a containing window's
         tests: both days stay inside its span, hence at or before its end.)"""
         t_predict = self.schedule.move(key, t)
+        self.moves.append((key[1], t_predict, t))
         return (t - 1 if key[1] == INSERT else t), t_predict
 
     def process_event_later(self, key: tuple[str, str], t: int) -> tuple[int, int]:
         """Predicted event ``key`` missed its day t: push it 2^i days ahead
         on its i-th miss, and drag its element's deletion, which cannot have
         happened either, onto the new day when it lies before it, to keep
-        insert-before-delete.  Returns the span of days to repair, widened
-        for an insertion as in
-        ``process_event_earlier``: the moves change only windows below the
-        span's covering window that meet its days, none starting after the
-        new day.
+        insert-before-delete.  Each moved record is appended to
+        ``self.moves`` as ``(kind, old day, new day)``, the dragged deletion
+        as a move of its own.  Returns the span of days to repair, widened
+        for an insertion as in ``process_event_earlier``: the moves change
+        only windows below the span's covering window that meet its days,
+        none starting after the new day.
 
         A push past the horizon clamps to day T while earlier days remain
         (the real event, if any, will find it there at cost proportional to
@@ -490,9 +541,10 @@ class Engine:
             target = self.T if t < self.T else self.T + 1
         sched.move(key, target)
         element, kind = key
+        self.moves.append((kind, t, target))
         if kind == INSERT and sched.del_day.get(element, target) < target:
             dkey = (element, DELETE)
-            sched.move(dkey, target)
+            self.moves.append((DELETE, sched.move(dkey, target), target))
             sched.misses[dkey] = sched.misses.get(dkey, 0) + 1
             self.counters.reschedules += 1
         return (t - 1 if kind == INSERT else t), target
@@ -554,7 +606,7 @@ class Engine:
                 f"day {day}: insertion of {element} carries payload {event.payload}, "
                 f"its prediction {predicted}"
             )
-        elif online and not isinstance(self.problem, LiftedIncremental):
+        elif online and not self.lifted:
             raise ScheduleBug(
                 f"day {day}: online insertion of {element} needs a lifted "
                 "incremental problem"
@@ -583,20 +635,25 @@ class Engine:
             # never predicted: default prediction at the end of the horizon
             sched.add(element, kind, day)
             spans.append((day, self.T + 1))
+            self.moves.append((kind, self.T + 1, day))
         elif day < scheduled:
             spans.append(self.process_event_earlier(key, day))
 
         # snapshot, then push ahead every record of today but today's event,
-        # none of which has happened
-        batch = list(sched.days[day])
+        # none of which has happened; a deletion its insertion's push dragged
+        # ahead has left today and is not pushed again
+        today = sched.days[day]
+        batch = list(today)
         if len(batch) > self.counters.batch_max:
             self.counters.batch_max = len(batch)
         for other in batch:
-            if other != key:
+            if other != key and other in today:
                 spans.append(self.process_event_later(other, day))
                 yield 1
         if spans:
-            yield from self.retrigger(spans)
+            # a day that moves nothing allocates nothing for its moves
+            moves, self.moves = self.moves, []
+            yield from self.retrigger(spans, moves)
 
         if self.memory[self.tree.leaf_of[day]] is None:
             for nid in self.tree.windows_starting_at(day):
@@ -611,6 +668,14 @@ class Engine:
         if self.memory[nid] is None:
             raise ScheduleBug(f"leaf for day {day} never computed")
         return self.problem.day_output(self.memory[nid])
+
+
+def _crosses(ranges: list[tuple[int, int]], day: int) -> bool:
+    """Whether ``day`` lies in one of the half-open day ranges ``[lo, hi)``."""
+    for lo, hi in ranges:
+        if lo <= day < hi:
+            return True
+    return False
 
 
 def _short_payload(what: str, event: Event, need: int) -> str:

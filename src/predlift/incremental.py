@@ -19,6 +19,16 @@ deletion inside the sibling; for any other window, its insertion inside
 (parent start, own start], which for the root means on day 0 or 1).  A
 window reads nothing else of the schedule but its permanents' payloads.
 
+By induction from the root, a window's state holds exactly the elements
+alive across it: inserted on or before its first day and deleted after its
+last.  Moving an insertion between days a and b changes that set only for
+windows whose first day lies in [min(a, b), max(a, b)), and moving a
+deletion only for windows whose last day lies there.  So the engine's
+repair walk recomputes a lifted window only when a day's moved endpoint
+crosses its first or last day; any other window keeps its state, which
+holds the same elements and so answers as a fresh compute would, even
+when its parent was rebuilt (``Engine.retrigger``).
+
 No state changes after the compute that built it, since ``insert`` only
 ever touches a fresh ``init`` or ``clone``.  So a window with no
 permanents holds its parent's state object itself, at no cost: the

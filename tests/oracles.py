@@ -6,7 +6,9 @@ straight from divider priorities and a window's span, an element's
 liveness on a day read from a schedule, a check that a schedule's records
 have happened exactly on their days, an engine's state in comparable
 form, an engine that repairs each moved record's span on its own, the
-live windows that differ from a fresh top-down compute, a window's
+live windows that differ from a fresh top-down compute, those of a
+lifted engine that answer otherwise than the oracle over the elements
+alive across them, a window's
 permanent elements by brute force, records of every window compute as it
 happens, of those that run after the window's last day and of those a
 repair walk runs, connectivity's insert and output with helper root
@@ -29,7 +31,13 @@ from predlift.boosting import Backstop, BoostConfig, SteppableEngine
 from predlift.engine import Engine, WindowCtx
 from predlift.incremental import LiftedIncremental
 from predlift.model import DELETE, INSERT, Event, Prediction
-from predlift.problems import ConnectivityContract, MsfGraph, MsfProblem
+from predlift.problems import (
+    ConnectivityContract,
+    CounterContract,
+    MsfGraph,
+    MsfProblem,
+    oracle_answer,
+)
 from predlift.scheduling import SlotLine
 from predlift.timetree import PartitionTree
 
@@ -261,16 +269,17 @@ def engine_state(eng) -> tuple:
 
 class PerSpanEngine(Engine):
     """The engine with one repair walk per moved record: each span of a day
-    is walked on its own, so a window below several spans is recomputed
-    once for each.  The reference the day's shared walk is checked against:
-    the same outputs, for at least as many units.  Its window memories
-    answer the same but need not be equal: a connectivity window that one
-    walk recomputes and the other keeps holds the same components in a
-    union-find of another shape."""
+    is walked on its own, with all of the day's moves, so a window below
+    several spans that a move crosses is recomputed once for each.  The
+    reference the day's shared walk is checked against: the same outputs,
+    for at least as many units.  Its window memories answer the same but
+    need not be equal: a connectivity window that one walk recomputes and
+    the other keeps holds the same components in a union-find of another
+    shape."""
 
-    def retrigger(self, spans):
+    def retrigger(self, spans, moves):
         for span in spans:
-            yield from Engine.retrigger(self, [span])
+            yield from Engine.retrigger(self, [span], moves)
 
 
 def comparable(problem, memory):
@@ -306,6 +315,40 @@ def stale_windows(eng) -> list[tuple[int, int]]:
         if comparable(eng.problem, fresh[nid]) != comparable(eng.problem, eng.memory[nid]):
             stale.append(span(tree, nid))
     return stale
+
+
+def misanswering_windows(eng) -> list[tuple[int, int]]:
+    """Spans of the live windows of ``eng``, a lifted counter, connectivity or
+    decremental max engine, whose last day has not passed and whose memory's
+    ``output`` differs from ``oracle_answer`` over the elements alive across
+    the window on the current schedule: inserted on or before its first day
+    and deleted after its last.  Decremental max's elements are
+    anti-elements, so its answer is over the run's ground set less the
+    elements with an anti-instance alive across the window.  Unlike
+    ``stale_windows``, no window is computed."""
+    contract, sched, tree = eng.problem.contract, eng.schedule, eng.tree
+    never = eng.T + 1
+    wrong = []
+    for nid in range(tree.n_nodes()):
+        start, end = tree.start[nid], tree.end[nid]
+        if eng.memory[nid] is None or end < eng.current_day:
+            continue
+        alive = {
+            el: sched.payloads.get(el, ())
+            for el, ins in sched.ins_day.items()
+            if ins <= start and sched.del_day.get(el, never) > end
+        }
+        if isinstance(contract, CounterContract):
+            want = oracle_answer("counter", alive)
+        elif isinstance(contract, ConnectivityContract):
+            want = oracle_answer("connectivity", alive)
+        else:  # the decremental adapter's anti-view
+            absent = {anti.rsplit("~", 1)[0] for anti in alive}
+            present = {el: p for el, p in contract.ground.items() if el not in absent}
+            want = oracle_answer("decmax", present)
+        if contract.output(eng.memory[nid]) != want:
+            wrong.append(span(tree, nid))
+    return wrong
 
 
 def reference_permanents(eng, nid: int) -> list[str]:
@@ -350,8 +393,8 @@ def window_computes(record):
         finally:
             running.pop()
 
-    def walking(eng, spans):
-        walk = retrigger(eng, spans)
+    def walking(eng, spans, moves):
+        walk = retrigger(eng, spans, moves)
         while True:
             running.append((eng, True))
             try:

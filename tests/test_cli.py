@@ -381,3 +381,13 @@ def test_generate_rejects_an_empty_horizon_and_a_lone_vertex(tmp_path, capsys):
     assert "--deletion-predicted" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     assert main(["generate", "--problem", "counter", "--T", "8", "--n", "1", "--out", out]) == 0
+
+
+def test_generate_rejects_an_msf_deletion_predicted_stream(tmp_path, capsys):
+    """``run`` rejects every MSF ``.dstream`` (an online insertion needs a
+    lifted incremental problem), so ``generate`` writes none."""
+    out = str(tmp_path / "m")
+    rc = main(["generate", "--problem", "msf", "--T", "16", "--deletion-predicted", "--out", out])
+    assert rc == 2
+    assert "--deletion-predicted does not apply to msf" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -4,14 +4,17 @@ the bounds the paper proves, and no window is computed after its last day,
 when nothing can read it.  A day repairs all of its moved records in one
 walk: its outputs equal those of an engine that walks each record's span
 on its own, for no more units, and no window is recomputed twice on one
-day.  The walk recomputes exactly the windows a day's moves touch, and its
-work stays within the paper's bound in the l1 error for lifted incremental
-problems.  After every day, every window that can still be read answers as
-a fresh compute on the current schedule.  Every MSF window compute equals
-the pass-by-pass reference window.  A boosting epoch's new engines start at
-today: they answer as engines that replay the past days, for no more work,
-and read past payloads from the events.  A backstop takes at most N times
-its cheapest constituent's steps, plus N per day."""
+day.  The walk recomputes exactly the windows a day's moves touch (for a
+lifted incremental problem, those whose start or end a moved endpoint
+crosses), and its work stays within the paper's bound in the l1 error for
+lifted incremental problems.  After every day, every window that can still
+be read answers as a fresh compute on the current schedule, and every
+lifted one as the oracle over the elements alive across it.  Every MSF
+window compute equals the pass-by-pass reference window.  A boosting
+epoch's new engines start at today: they answer as engines that replay the
+past days, for no more work, and read past payloads from the events.  A
+backstop takes at most N times its cheapest constituent's steps, plus N
+per day."""
 
 from itertools import product
 from math import log2
@@ -26,6 +29,7 @@ from oracles import (
     backstops_built,
     comparable,
     ended_window_computes,
+    misanswering_windows,
     reference_msf_window,
     replay_boost_run,
     retrigger_recomputes,
@@ -35,7 +39,7 @@ from predlift.boosting import Backstop, BoostConfig, RecomputeBackstop, Steppabl
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, drain
 from predlift.incremental import lift_incremental
-from predlift.model import INSERT, Event, Prediction
+from predlift.model import DELETE, INSERT, Event, Prediction
 from predlift.problems import (
     MsfProblem,
     connectivity_contract,
@@ -419,6 +423,49 @@ def test_readable_windows_stay_fresh():
             assert not stale_windows(run.engine), ("decmax", seed, day)
 
 
+def test_kept_windows_answer_for_their_alive_sets(monkeypatch):
+    """After every day, every live window that has not ended answers, through
+    its contract's ``output``, as the oracle does over the elements alive
+    across it (``oracles.misanswering_windows``), so no repair walk kept a
+    window whose alive-across set a move changed.  Predicted, boosted and
+    deletion-predicted runs of counter and connectivity under four error
+    models, and decremental max through its anti-view, at T = 32, seeds
+    0-1."""
+    process_day = Engine.process_day
+    checked = []
+
+    def processing(eng, day, event, predicted_deletion_day=None):
+        yield from process_day(eng, day, event, predicted_deletion_day)
+        assert not misanswering_windows(eng), day
+        checked.append(day)
+
+    monkeypatch.setattr(Engine, "process_day", processing)
+    T = 32
+    models = [
+        ErrorModel("uniform", 6),
+        ErrorModel("drop", 4, 0.3),
+        ErrorModel("heavy", 6),
+        ErrorModel("inject", 64),
+    ]
+    for model, seed in product(models, range(2)):
+        for problem in ("counter", "connectivity"):
+            inst = generate_offline_instance(problem, 8, T, model, seed)
+            assert run_mode("predicted", problem, inst, seed)[0] == oracle_daily_outputs(
+                problem, inst.stream
+            )
+            boosted(problem, inst, seed, 2)
+            items, _ = generate_deletion_predicted_stream(problem, 8, T, model, seed)
+            eng = Engine(problem_impl(problem), T, seed)
+            for day, ev, pred in items:
+                drain(eng.process_day(day, ev, predicted_deletion_day=pred))
+        if model.kind != "inject":
+            predicted_set, items, _ = generate_insertion_predicted_instance(12, T, model, seed)
+            run = DecrementalRun(decremental_max_contract(), predicted_set, T, seed)
+            for day, ev, reins in items:
+                run.process_day(day, ev, reins)
+    assert len(checked) > 40 * T
+
+
 def test_msf_windows_equal_the_pass_by_pass_reference(monkeypatch):
     """Every MSF window compute, at ingest and in every retrigger, leaves
     included, returns the memory (edges, forced weight, sorted forced ids),
@@ -474,20 +521,41 @@ def covering_window(tree, lo, hi):
     return min(holding, key=lambda n: tree.end[n] - tree.start[n])
 
 
+def endpoint_days(sched):
+    """Every record of ``sched`` with its day, by (element, kind) key."""
+    days = {(el, INSERT): day for el, day in sched.ins_day.items()}
+    days.update(((el, DELETE), day) for el, day in sched.del_day.items())
+    return days
+
+
 def test_repair_walk_recomputes_exactly_the_windows_moves_touch(monkeypatch):
-    """On every day with moved records, the walk recomputes exactly the
-    windows that were live before it, end on or after today, start on or
-    before the farthest day of any span, and lie strictly below some
-    span's covering window (anywhere in the tree for a span that leaves
-    ``[1, T]``).  On fixed instances, every retrigger checked."""
-    walks = []
-    retrigger = Engine.retrigger
+    """On every day with moved records, the walk visits exactly the windows
+    that were live before it, end on or after today, start on or before the
+    farthest day of any span, and lie strictly below some span's covering
+    window (anywhere in the tree for a span that leaves ``[1, T]``).  It
+    recomputes all of them for MSF, whose windows read the events inside
+    them, and for a lifted problem exactly those whose start lies in a
+    moved insertion's ``[min(old, new), max(old, new))`` or whose end lies
+    in a moved deletion's: the windows whose alive-across set changed.  The
+    moves are read off the schedule before and after the day (a record
+    added on the day moved from T+1).  On fixed instances, every retrigger
+    checked."""
+    walks, before = [], {}
+    retrigger, process_day = Engine.retrigger, Engine.process_day
 
-    def spy(eng, spans):
+    def processing(eng, day, event, predicted_deletion_day=None):
+        before[eng] = endpoint_days(eng.schedule)
+        yield from process_day(eng, day, event, predicted_deletion_day)
+
+    def spy(eng, spans, moves):
         live = {nid for nid, mem in enumerate(eng.memory) if mem is not None}
-        walks.append((eng, eng.current_day, list(spans), live))
-        yield from retrigger(eng, spans)
+        old, new = before[eng], endpoint_days(eng.schedule)
+        never = eng.T + 1
+        moved = [(k[1], old.get(k, never), d) for k, d in new.items() if old.get(k, never) != d]
+        walks.append((eng, eng.current_day, list(spans), live, moved))
+        yield from retrigger(eng, spans, moves)
 
+    monkeypatch.setattr(Engine, "process_day", processing)
     monkeypatch.setattr(Engine, "retrigger", spy)
     models = (ErrorModel("uniform", sigma=9), ErrorModel("inject", sigma=128))
     with retrigger_recomputes() as recomputes:
@@ -498,7 +566,8 @@ def test_repair_walk_recomputes_exactly_the_windows_moves_touch(monkeypatch):
     for eng, day, nid in recomputes:
         recomputed.setdefault((eng, day), set()).add(nid)
     assert len(walks) > 100
-    for eng, day, spans, live in walks:
+    kept = 0
+    for eng, day, spans, live, moved in walks:
         tree = eng.tree
         reach = max(hi for _, hi in spans)
         below = set()
@@ -512,8 +581,22 @@ def test_repair_walk_recomputes_exactly_the_windows_moves_touch(monkeypatch):
                 for n in range(tree.n_nodes())
                 if n != top and tree.start[top] <= tree.start[n] and tree.end[n] <= tree.end[top]
             )
-        expected = {n for n in below & live if tree.end[n] >= day and tree.start[n] <= reach}
-        assert recomputed.get((eng, day), set()) == expected, (day, spans)
+        visited = {n for n in below & live if tree.end[n] >= day and tree.start[n] <= reach}
+        expected = visited
+        if not isinstance(eng.problem, MsfProblem):
+            expected = {
+                n
+                for n in visited
+                if any(
+                    min(old, new)
+                    <= (tree.start[n] if kind == INSERT else tree.end[n])
+                    < max(old, new)
+                    for kind, old, new in moved
+                )
+            }
+        kept += len(visited - expected)
+        assert recomputed.get((eng, day), set()) == expected, (day, spans, moved)
+    assert kept > 100  # the rule keeps windows the walk visits
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -54,9 +54,9 @@ def test_early_event_retrigger_range():
     spans = []
     orig = eng.retrigger
 
-    def spy(day_spans):
+    def spy(day_spans, moves):
         spans.extend(day_spans)
-        yield from orig(day_spans)
+        yield from orig(day_spans, moves)
 
     eng.retrigger = spy
     drain(eng.process_day(1, Event("a", INSERT)))
@@ -94,6 +94,35 @@ def test_ordering_constraint_drags_deletion():
     assert sched.ins_day["a"] == 8
     assert sched.del_day["a"] == 8  # dragged along to keep insert-before-delete
     assert sched.misses[("a", DELETE)] >= 1
+
+
+def test_dragged_deletion_is_pushed_once():
+    """A deletion that its insertion's push dragged off today is not pushed
+    again by today's loop: with both of a's records on day 3 (the ordering
+    fix moves the deletion there), either listing order ends with a
+    inserted and deleted on day 5 after one push each, and the day's walk
+    is handed each endpoint's move once, beside z's add (from T+1)."""
+    ends = []
+    for preds in ([P("a", INSERT, 3), P("a", DELETE, 2)], [P("a", DELETE, 2), P("a", INSERT, 3)]):
+        eng = make_engine(16, preds)
+        assert eng.schedule.days[3] == [(p.event.element, p.event.kind) for p in preds]
+        walked = []
+        orig = eng.retrigger
+
+        def spy(spans, moves):
+            walked.append((eng.current_day, sorted(moves)))
+            yield from orig(spans, moves)
+
+        eng.retrigger = spy
+        for day, el in ((1, "x"), (2, "y"), (3, "z")):
+            drain(eng.process_day(day, Event(el, INSERT)))
+        sched = eng.schedule
+        assert (sched.ins_day["a"], sched.del_day["a"]) == (5, 5)
+        assert eng.counters.reschedules == 2
+        assert walked[-1] == (3, [(DELETE, 3, 5), (INSERT, 3, 5), (INSERT, 17, 3)])
+        assert eng.outputs == [1, 2, 3]
+        ends.append(sched.misses)
+    assert ends[0] == ends[1] == {("a", INSERT): 1, ("a", DELETE): 1}
 
 
 def test_out_of_order_day_rejected():
@@ -338,7 +367,10 @@ def test_full_retrigger_equals_preprocessing_cost():
     inst = exact_counter_instance(64, seed=2)
     eng = make_engine(inst.T, inst.predictions, seed=9)
     before = eng.counters.window_compute_units
-    drain(eng.retrigger([(1, inst.T)]))
+    # an element entering the schedule on day 0 and leaving it on day T+1
+    # crosses every window's start and end
+    everything = [(INSERT, 0, inst.T + 1), (DELETE, 0, inst.T + 1)]
+    drain(eng.retrigger([(1, inst.T)], everything))
     # recomputing everything below the root touches every window but the root
     assert eng.counters.retrigger_units >= before * 0.5
 
