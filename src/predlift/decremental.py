@@ -32,11 +32,13 @@ class DecrementalContract(Protocol):
     elements joined it: the predicted set's order, then each element
     admitted from outside it, in the order of admission: each element's
     value is the first field of its payload, of which the algorithm reads
-    ``payload_fields``."""
+    ``payload_fields``.  ``delete`` of an element not in the state (never
+    in the set, or already deleted) raises ``ValueError``; its units must
+    stay within the algorithm's worst-case deletion bound."""
 
     payload_fields: int
 
-    def initialize(self, items: list[tuple[str, int]], capacity: int) -> tuple[Any, int]: ...
+    def initialize(self, items: list[tuple[str, int]]) -> tuple[Any, int]: ...
 
     def delete(self, state: Any, element: str) -> int: ...
 
@@ -54,14 +56,13 @@ class _AntiContract:
 
     payload_fields = 0
 
-    def __init__(self, contract: DecrementalContract, ground: dict[str, tuple], T: int):
+    def __init__(self, contract: DecrementalContract, ground: dict[str, tuple]):
         self.contract = contract
         self.ground = ground
-        self.T = T
 
     def init(self):
         items = [(el, payload[0]) for el, payload in self.ground.items()]
-        return self.contract.initialize(items, self.T)
+        return self.contract.initialize(items)
 
     def insert(self, state, anti_element, payload):
         return self.contract.delete(state, anti_element.rsplit("~", 1)[0])
@@ -109,7 +110,7 @@ class DecrementalRun:
         self.ground: dict[str, tuple] = {el: payload for el, day, payload in predicted_set}
         self.generation: dict[str, int] = {el: 0 for el in self.ground}
         self.out_of_set_inserts = 0  # the theorem's K
-        anti = _AntiContract(contract, self.ground, T)
+        anti = _AntiContract(contract, self.ground)
         self.engine = Engine(lift_incremental(anti), T, seed)
         self.engine.preload_day0([self._anti(el) for el, _, _ in predicted_set])
         for el, day, _ in predicted_set:

@@ -13,26 +13,27 @@ pulled back to the real day; when a predicted event fails to materialize on
 its day, it is pushed 2^i days ahead (doubling with each miss).  Either move
 can change only the windows below the smallest window containing both of
 its days that meet the days between them, so each move yields that span
-of days.  Once a day has moved its records, one repair walk visits, each
-at most once and after its parent, every window below the spans' covering
-windows that meets a moved day: one that has not ended and starts on or
-before the farthest day of any span.  A window whose last day has passed
-keeps its last memory but is never recomputed or read again, since a day's
-answer is read from its own leaf.  A window that starts after every moved
-day keeps its memory too: it still answers its days, as the problem
-protocol requires.
+of days.  Every span of a day holds today, so the spans' covering windows
+all lie on the path from the root to today's leaf, and the highest of them
+holds the others.  Once a day has moved its records, one repair walk
+descends from that one covering window in preorder, each window after its
+parent, and visits every window below it that meets a moved day: one that
+has not ended and starts on or before the farthest day of any span.  A
+window whose last day has passed keeps its last memory but is never
+recomputed or read again, since a day's answer is read from its own leaf.
+A window that starts after every moved day keeps its memory too: it still
+answers its days, as the problem protocol requires.
 
-A lifted incremental window's memory is exactly the set of elements alive
-across it: inserted on or before its start and deleted after its end.
-Moving an insertion between days a and b flips "inserted on or before the
-start" only for windows whose start lies in [min(a, b), max(a, b)), and
-moving a deletion flips "deleted after the end" only for windows whose end
-lies there.  So for such a problem the walk recomputes a visited window
-only when a moved endpoint crosses its start or end, and descends through
-the others, whose alive-across sets are unchanged, keeping their memories:
-repair work follows where the moves land, which is what ties it to the l1
-prediction error.  An MSF window also reads the events inside it, so the
-walk recomputes every window it visits.
+A lifted incremental window's memory depends only on the set of elements
+alive across it: inserted on or before its start and deleted after its
+end.  So for such a problem the walk recomputes a visited window exactly
+when some element moved today flips its membership of that set, compared
+between its endpoint days before its first move of the day and its days
+now (the flip rule), and descends through the others, keeping their
+memories: repair work follows the alive-across sets the moves change,
+which is what ties it to the l1 prediction error.  An MSF window also
+reads the events inside it, so the walk recomputes every window it
+visits.
 
 All long-running entry points are generators that yield work-unit counts,
 so an engine can be driven to completion in a tight loop or preempted after
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Any, Iterator
 
 from .incremental import LiftedIncremental
@@ -236,8 +236,9 @@ class Engine:
     as a fresh compute would, though it may differ in form (a connectivity
     window keeps a union-find of another shape).  A ``LiftedIncremental``
     window (``lifted`` is set) answers for its alive-across set alone, so
-    the walk also keeps one whose start and end no moved endpoint crosses:
-    that set is the same, so the kept memory still answers as a fresh one.
+    the walk also keeps one whose set no element moved today entered or
+    left: that set is the same, so the kept memory still answers as a fresh
+    one.
 
     ``memory[nid]`` holds a window's computed memory, or None while the
     window is not live, and ``contexts[nid]`` the window's ``WindowCtx``,
@@ -282,9 +283,10 @@ class Engine:
         self._rng = random.Random(seed)
         self._slotline = SlotLine(T)
         self.current_day = 0
-        # the moved endpoints of today's records, ``(kind, old day, new
-        # day)``, that today's repair walk has not been handed yet
-        self.moves: list[tuple[str, int, int]] = []
+        # each element whose records moved or were added today, mapped to its
+        # (insertion day, deletion day) before its first move of the day, T+1
+        # for none; today's repair walk has not been handed it yet
+        self.moves: dict[str, tuple[int, int]] = {}
         self.outputs: list[Any] = []
 
     # -- preprocessing -----------------------------------------------------
@@ -402,85 +404,103 @@ class Engine:
         return max(1, units)
 
     def retrigger(
-        self, spans: list[tuple[int, int]], moves: list[tuple[str, int, int]]
+        self, spans: list[tuple[int, int]], moves: dict[str, tuple[int, int]]
     ) -> Iterator[int]:
         """Repair the windows a day's moved records can have changed: each
-        ``(lo, hi)`` span of days charges one retrigger call, and then the
-        walk visits, once each and in node-id order, every live descendant
-        of the smallest window holding a span's two days that meets some
-        moved day.  A parent's id is smaller than its children's, so every
-        window reads its parent's fresh memory, and a window below several
-        spans is visited once however many of them reach it.  The walk
-        calls the problem's ``compute_window`` itself and charges each
+        ``(lo, hi)`` span of days charges one retrigger call, and then one
+        walk descends in preorder from the spans' one covering window.
+        Every span holds today (``lo`` is today-1 or today, ``hi`` after
+        today), so each span's covering window lies on the path from the
+        root to today's leaf, and ``smallest_window(min lo, max hi)``, the
+        highest of them, holds the others.  The walk visits every live
+        window strictly below it that meets some moved day, once each and
+        after its parent, so each reads its parent's fresh memory.  It calls
+        the problem's ``compute_window`` itself and charges each
         recompute's units to ``retrigger_units``.
 
         Every span holds today, so a window meets a moved day exactly when
         it has not ended and starts on or before ``reach``, the farthest
-        day of any span.  The walk stops at a window that fails this, as
-        every window below it does too.  A window that ended before today
+        day of any span.  Once a window fails one of these tests, or is not
+        live, every window below it does too, so the walk does not descend
+        below it.  A window that ended before today
         keeps its last memory but is never read again.  A window that
         starts after ``reach`` keeps a memory that still answers its days:
         every moved record stayed before it, so it has the same elements
         alive across it and the same events inside it (the protocol's
         requirement in ``Engine``).
 
-        ``moves`` lists the day's moved endpoints as ``(kind, old day, new
-        day)``, old day T+1 for a record added today.  For a lifted problem
-        a visited window is recomputed only when a moved insertion's
-        ``[min(old, new), max(old, new))`` holds its start or a moved
-        deletion's holds its end: only then can its alive-across set, and
-        so its memory, have changed.  Any other visited window keeps its
-        memory, is charged nothing, and the walk descends through it.  Every
-        such crossed window lies strictly below its move's covering window
-        (an insertion's span starts one day before the move's first day),
-        so the walk reaches it.  Every other problem recomputes every window
-        the walk visits.
+        ``moves`` maps each element whose records moved or were added today
+        to its ``(insertion day, deletion day)`` before its first move of
+        the day, T+1 meaning none.  For a lifted problem a visited window
+        ``[s, e]`` is recomputed exactly when some such element flips: its
+        ``ins <= s and del > e`` differs between those days and its days in
+        the schedule now.  Only then can its alive-across set, and so its
+        memory, have changed.  Any other visited window keeps its memory,
+        is charged nothing, and the walk descends through it; when no
+        element's days changed, the walk does not run.  A flipped
+        window lies strictly below the covering window of the element's
+        span: its start or end lies between the element's two days of one
+        endpoint, which that span holds, widened one day left for an
+        insertion.  Every other problem recomputes every window the walk
+        visits.
 
         A span leaving ``[1, T]`` means the event left or entered the tree
         entirely, which invalidates the root as well: the walk starts at the
-        root, and ``reach`` is T+1, so it visits every live window below it
-        that has not ended.  A never-predicted deletion's range [today, T+1)
-        holds the end of the root and of every window that has not ended, so
-        the decremental adapter's admissions, whose root reads the grown
-        ground set, still recompute all of them."""
-        tree = self.tree
-        heap = []
-        for lo, hi in spans:
-            self.counters.retrigger_calls += 1
+        root, and ``reach`` is T+1, so it visits every live window that has
+        not ended.  An element alive across the root before the day (on
+        day 0 or 1, never deleted) that has died by today is alive across
+        no window the walk can visit, every one of which ends on or after
+        today, so the walk recomputes them all without the per-window test.
+        That is the decremental adapter's admission of an element outside
+        its set, whose root reads the grown ground set."""
+        tree, T, counters = self.tree, self.T, self.counters
+        lo, reach = T + 1, 0
+        for span_lo, span_hi in spans:
+            counters.retrigger_calls += 1
             yield 1
-            if hi > self.T or lo < 1:
-                heap.append(0)
-            else:
-                top = tree.smallest_window(lo, hi)
-                if tree.left[top] != -1:
-                    heap += (tree.left[top], tree.right[top])
-        reach = max(hi for _, hi in spans)
-        heapify(heap)
-        lifted = self.lifted
-        if lifted:
-            starts, ends = [], []
-            for kind, old, new in moves:
-                (starts if kind == INSERT else ends).append(
-                    (old, new) if old < new else (new, old)
-                )
-        memory, contexts, counters = self.memory, self.contexts, self.counters
+            if span_lo < lo:
+                lo = span_lo
+            if span_hi > reach:
+                reach = span_hi
+        today = self.current_day
+        recompute_all = not self.lifted
+        flips = []
+        if not recompute_all:
+            never = T + 1
+            ins_get, del_get = self.schedule.ins_day.get, self.schedule.del_day.get
+            for element, (ins0, del0) in moves.items():
+                ins1, del1 = ins_get(element, never), del_get(element, never)
+                if ins0 <= 1 and del0 > T and del1 <= today:
+                    recompute_all = True
+                    break
+                if (ins0, del0) != (ins1, del1):
+                    flips.append((ins0, del0, ins1, del1))
+            if not (recompute_all or flips):
+                return
+        memory, contexts = self.memory, self.contexts
         compute, parent = self.problem.compute_window, tree.parent
         start, end, left, right = tree.start, tree.end, tree.left, tree.right
-        today = self.current_day
-        last = None
-        while heap:
-            nid = heappop(heap)
-            # a window several spans reach pops once for each, in a row; below
-            # a window not yet live, already ended or starting after every
-            # moved day, every window is too
-            if nid == last or memory[nid] is None or end[nid] < today or start[nid] > reach:
-                continue
-            last = nid
-            if (
-                not lifted
-                or (starts and _crosses(starts, start[nid]))
-                or (ends and _crosses(ends, end[nid]))
-            ):
+        if lo < 1 or reach > T:
+            first = (0,)
+        else:
+            top = tree.smallest_window(lo, reach)
+            first = (right[top], left[top])
+        # the stack holds only windows that are live, have not ended and start
+        # on or before ``reach``: below a window failing one, every window does
+        stack = []
+        for nid in first:
+            if memory[nid] is not None and end[nid] >= today and start[nid] <= reach:
+                stack.append(nid)
+        while stack:
+            nid = stack.pop()
+            flipped = recompute_all
+            if not flipped:
+                s, e = start[nid], end[nid]
+                for ins0, del0, ins1, del1 in flips:
+                    if (ins0 <= s and del0 > e) != (ins1 <= s and del1 > e):
+                        flipped = True
+                        break
+            if flipped:
                 p = parent[nid]
                 # a live window's context was built at its first compute
                 mem, compute_units, clone_units = compute(
@@ -492,18 +512,24 @@ class Engine:
                 counters.clone_units += clone_units
                 counters.retrigger_units += units
                 yield max(1, units)
-            if left[nid] != -1:
-                heappush(heap, left[nid])
-                heappush(heap, right[nid])
+            l = left[nid]
+            if l != -1:
+                # a right child ends where its parent does and a left child
+                # starts there, so each needs only the other day test
+                r = right[nid]
+                if start[r] <= reach and memory[r] is not None:
+                    stack.append(r)
+                if end[l] >= today and memory[l] is not None:
+                    stack.append(l)
 
     # -- handlers ------------------------------------------------------------
 
     def process_event_earlier(self, key: tuple[str, str], t: int) -> tuple[int, int]:
-        """Real event ``key`` on day t ahead of its prediction: pull its
-        record back to t, and append the move to ``self.moves`` as ``(kind,
-        old day, t)``.  Returns the span of days to repair: the move changes
-        only windows below the span's covering window that meet its days,
-        and no window starting after the old predicted day.
+        """Real event ``key`` on day t ahead of its prediction: note its
+        element's endpoint days in ``self.moves`` (``_note_days``), then pull
+        its record back to t.  Returns the span of days to repair: the move
+        changes only windows below the span's covering window that meet its
+        days, and no window starting after the old predicted day.
 
         The span runs one day further left when the moved record is an
         insertion: a window starting exactly at t tests "inserted on or
@@ -512,20 +538,20 @@ class Engine:
         Widening the span makes every such window a strict descendant of the
         covering window.  (Deletion moves cannot flip a containing window's
         tests: both days stay inside its span, hence at or before its end.)"""
+        self._note_days(key[0])
         t_predict = self.schedule.move(key, t)
-        self.moves.append((key[1], t_predict, t))
         return (t - 1 if key[1] == INSERT else t), t_predict
 
     def process_event_later(self, key: tuple[str, str], t: int) -> tuple[int, int]:
         """Predicted event ``key`` missed its day t: push it 2^i days ahead
         on its i-th miss, and drag its element's deletion, which cannot have
         happened either, onto the new day when it lies before it, to keep
-        insert-before-delete.  Each moved record is appended to
-        ``self.moves`` as ``(kind, old day, new day)``, the dragged deletion
-        as a move of its own.  Returns the span of days to repair, widened
-        for an insertion as in ``process_event_earlier``: the moves change
-        only windows below the span's covering window that meet its days,
-        none starting after the new day.
+        insert-before-delete.  The element's endpoint days are noted in
+        ``self.moves`` first (``_note_days``), so the dragged deletion needs
+        no note of its own.  Returns the span of days to repair, widened for
+        an insertion as in ``process_event_earlier``: the moves change only
+        windows below the span's covering window that meet its days, none
+        starting after the new day.
 
         A push past the horizon clamps to day T while earlier days remain
         (the real event, if any, will find it there at cost proportional to
@@ -539,15 +565,27 @@ class Engine:
         target = t + (1 << misses)
         if target > self.T:
             target = self.T if t < self.T else self.T + 1
-        sched.move(key, target)
         element, kind = key
-        self.moves.append((kind, t, target))
+        self._note_days(element)
+        sched.move(key, target)
         if kind == INSERT and sched.del_day.get(element, target) < target:
             dkey = (element, DELETE)
-            self.moves.append((DELETE, sched.move(dkey, target), target))
+            sched.move(dkey, target)
             sched.misses[dkey] = sched.misses.get(dkey, 0) + 1
             self.counters.reschedules += 1
         return (t - 1 if kind == INSERT else t), target
+
+    def _note_days(self, element: str) -> None:
+        """Record in ``self.moves`` the element's (insertion day, deletion
+        day), T+1 for none, unless today already did: the days before its
+        first move of the day, against which the walk's flip rule tests its
+        days after."""
+        if element not in self.moves:
+            sched, never = self.schedule, self.T + 1
+            self.moves[element] = (
+                sched.ins_day.get(element, never),
+                sched.del_day.get(element, never),
+            )
 
     # -- day loop -------------------------------------------------------------
 
@@ -633,9 +671,9 @@ class Engine:
             yield 1
         elif scheduled is None:
             # never predicted: default prediction at the end of the horizon
+            self._note_days(element)
             sched.add(element, kind, day)
             spans.append((day, self.T + 1))
-            self.moves.append((kind, self.T + 1, day))
         elif day < scheduled:
             spans.append(self.process_event_earlier(key, day))
 
@@ -652,7 +690,7 @@ class Engine:
                 yield 1
         if spans:
             # a day that moves nothing allocates nothing for its moves
-            moves, self.moves = self.moves, []
+            moves, self.moves = self.moves, {}
             yield from self.retrigger(spans, moves)
 
         if self.memory[self.tree.leaf_of[day]] is None:
@@ -668,14 +706,6 @@ class Engine:
         if self.memory[nid] is None:
             raise ScheduleBug(f"leaf for day {day} never computed")
         return self.problem.day_output(self.memory[nid])
-
-
-def _crosses(ranges: list[tuple[int, int]], day: int) -> bool:
-    """Whether ``day`` lies in one of the half-open day ranges ``[lo, hi)``."""
-    for lo, hi in ranges:
-        if lo <= day < hi:
-            return True
-    return False
 
 
 def _short_payload(what: str, event: Event, need: int) -> str:

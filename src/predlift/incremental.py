@@ -21,13 +21,11 @@ window reads nothing else of the schedule but its permanents' payloads.
 
 By induction from the root, a window's state holds exactly the elements
 alive across it: inserted on or before its first day and deleted after its
-last.  Moving an insertion between days a and b changes that set only for
-windows whose first day lies in [min(a, b), max(a, b)), and moving a
-deletion only for windows whose last day lies there.  So the engine's
-repair walk recomputes a lifted window only when a day's moved endpoint
-crosses its first or last day; any other window keeps its state, which
-holds the same elements and so answers as a fresh compute would, even
-when its parent was rebuilt (``Engine.retrigger``).
+last.  So the engine's repair walk recomputes a lifted window only when an
+element moved today enters or leaves that set, judged from the element's
+endpoint days before the day and after its moves; any other window keeps
+its state, which holds the same elements and so answers as a fresh
+compute would, even when its parent was rebuilt (``Engine.retrigger``).
 
 No state changes after the compute that built it, since ``insert`` only
 ever touches a fresh ``init`` or ``clone``.  So a window with no
@@ -84,7 +82,9 @@ class LiftedIncremental:
     def compute_window(self, ctx: WindowCtx, parent_memory: Any):
         """The root's state is a fresh ``init``; any other window's is a
         clone of its parent's, or, with no permanents to insert, its
-        parent's state itself, charged nothing."""
+        parent's state itself, charged nothing.  A contract with no
+        ``payload_fields`` is handed ``()`` for every element, without a
+        payload lookup."""
         permanents = ctx.permanents()
         if parent_memory is None:
             state, clone_units = self.contract.init()
@@ -92,10 +92,15 @@ class LiftedIncremental:
             return parent_memory, 0, 0
         else:
             state, clone_units = self.contract.clone(parent_memory)
-        insert, payload = self.contract.insert, ctx.payload
+        insert = self.contract.insert
         compute_units = 0
-        for element in permanents:
-            compute_units += insert(state, element, payload(element))
+        if self.payload_fields:
+            payload = ctx.payload
+            for element in permanents:
+                compute_units += insert(state, element, payload(element))
+        else:
+            for element in permanents:
+                compute_units += insert(state, element, ())
         return state, compute_units, clone_units
 
     def day_output(self, leaf_memory: Any) -> Any:

@@ -1,7 +1,7 @@
 """Concrete problem instantiations and their from-scratch oracles.
 
 Three incremental contracts (active-element counter, union-by-rank
-connectivity, and, via the decremental adapter, an ordered-multiset max)
+connectivity, and, via the decremental adapter, a segment-tree max)
 plus an offline divide-and-conquer minimum spanning forest with contraction
 sparsification, whose one-day windows each hold their day's answer.
 
@@ -121,37 +121,64 @@ def connectivity_contract() -> ConnectivityContract:
 # -- decremental max ---------------------------------------------------------
 
 
+_NO_VALUE = float("-inf")  # a deleted or unused leaf
+
+
 class DecrementalMaxContract:
-    """Ordered multiset of (value, element) pairs; worst-case-logarithmic
-    locate per deletion.  Output is the current max value (None if empty).
-    An element's payload is its value (value,)."""
+    """Flat max segment tree over the ground set: ``tree[1]`` is the root,
+    node i has children 2i and 2i+1, and element j of the ground set, in
+    ``initialize``'s order, is the leaf ``size + j``, where ``size`` is the
+    least power of two at least the set's size.  A deleted element's leaf,
+    and every unused one, holds minus infinity.  A deletion costs at most
+    1 + log2(size) units, its worst case.  Output is the current max value
+    (None if empty).  An element's payload is its value (value,)."""
 
     payload_fields = 1
 
-    def initialize(self, items: list[tuple[str, int]], capacity: int):
-        pairs = sorted((value, element) for element, value in items)
-        values = {element: value for element, value in items}
-        n = max(1, len(pairs))
-        return [pairs, values], len(pairs) * (1 + ceil(log2(n + 1)))
+    def initialize(self, items: list[tuple[str, int]]):
+        """The tree built level by level, plus the element -> leaf map,
+        which clones share and nothing mutates; one unit per tree slot."""
+        size = 1
+        while size < len(items):
+            size *= 2
+        tree = [_NO_VALUE] * size + [value for _, value in items]
+        tree += [_NO_VALUE] * (size - len(items))
+        level = size // 2
+        while level:
+            tree[level : 2 * level] = map(
+                max, tree[2 * level : 4 * level : 2], tree[2 * level + 1 : 4 * level : 2]
+            )
+            level //= 2
+        leaf = {element: size + j for j, (element, _) in enumerate(items)}
+        return (tree, leaf), len(tree)
 
     def delete(self, state, element):
-        pairs, values = state
-        if element not in values:
+        """Set the element's leaf to minus infinity and climb only while
+        the maximum changes; one unit per level visited."""
+        tree, leaf = state
+        i = leaf.get(element)
+        if i is None or tree[i] == _NO_VALUE:
             raise ValueError(f"delete of absent value for element {element}")
-        value = values.pop(element)
-        idx = bisect.bisect_left(pairs, (value, element))
-        if idx >= len(pairs) or pairs[idx] != (value, element):
-            raise ValueError(f"ordered multiset out of sync for {element}")
-        del pairs[idx]
-        return 1 + ceil(log2(len(pairs) + 2))
+        top = tree[i] = _NO_VALUE
+        units = 1
+        while i > 1:
+            sibling = tree[i ^ 1]
+            if sibling > top:
+                top = sibling
+            i >>= 1
+            units += 1
+            if tree[i] == top:
+                break
+            tree[i] = top
+        return units
 
     def clone(self, state):
-        pairs, values = state
-        return [list(pairs), dict(values)], len(pairs) + len(values) + 1
+        tree, leaf = state
+        return (tree[:], leaf), len(tree)
 
     def output(self, state):
-        pairs, _ = state
-        return pairs[-1][0] if pairs else None
+        top = state[0][1]
+        return None if top == _NO_VALUE else top
 
 
 def decremental_max_contract() -> DecrementalMaxContract:

@@ -270,7 +270,8 @@ def engine_state(eng) -> tuple:
 class PerSpanEngine(Engine):
     """The engine with one repair walk per moved record: each span of a day
     is walked on its own, with all of the day's moves, so a window below
-    several spans that a move crosses is recomputed once for each.  The
+    several spans whose alive-across set a move changes is recomputed once
+    for each.  The
     reference the day's shared walk is checked against: the same outputs,
     for at least as many units.  Its window memories answer the same but
     need not be equal: a connectivity window that one walk recomputes and

@@ -5,8 +5,8 @@ when nothing can read it.  A day repairs all of its moved records in one
 walk: its outputs equal those of an engine that walks each record's span
 on its own, for no more units, and no window is recomputed twice on one
 day.  The walk recomputes exactly the windows a day's moves touch (for a
-lifted incremental problem, those whose start or end a moved endpoint
-crosses), and its work stays within the paper's bound in the l1 error for
+lifted incremental problem, those whose alive-across set a moved element
+enters or leaves), and its work stays within the paper's bound in the l1 error for
 lifted incremental problems.  After every day, every window that can still
 be read answers as a fresh compute on the current schedule, and every
 lifted one as the oracle over the elements alive across it.  Every MSF
@@ -39,7 +39,7 @@ from predlift.boosting import Backstop, BoostConfig, RecomputeBackstop, Steppabl
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, drain
 from predlift.incremental import lift_incremental
-from predlift.model import DELETE, INSERT, Event, Prediction
+from predlift.model import INSERT, Event, Prediction
 from predlift.problems import (
     MsfProblem,
     connectivity_contract,
@@ -521,38 +521,36 @@ def covering_window(tree, lo, hi):
     return min(holding, key=lambda n: tree.end[n] - tree.start[n])
 
 
-def endpoint_days(sched):
-    """Every record of ``sched`` with its day, by (element, kind) key."""
-    days = {(el, INSERT): day for el, day in sched.ins_day.items()}
-    days.update(((el, DELETE), day) for el, day in sched.del_day.items())
-    return days
-
-
 def test_repair_walk_recomputes_exactly_the_windows_moves_touch(monkeypatch):
     """On every day with moved records, the walk visits exactly the windows
     that were live before it, end on or after today, start on or before the
     farthest day of any span, and lie strictly below some span's covering
     window (anywhere in the tree for a span that leaves ``[1, T]``).  It
     recomputes all of them for MSF, whose windows read the events inside
-    them, and for a lifted problem exactly those whose start lies in a
-    moved insertion's ``[min(old, new), max(old, new))`` or whose end lies
-    in a moved deletion's: the windows whose alive-across set changed.  The
-    moves are read off the schedule before and after the day (a record
-    added on the day moved from T+1).  On fixed instances, every retrigger
-    checked."""
+    them, and for a lifted problem exactly those whose alive-across set
+    changed: some element is inserted on or before the window's start and
+    deleted after its end in the schedule before the day but not after its
+    moves, or the other way round.  Both schedules are read off the engine
+    (a missing record's day is T+1), not from what the walk is handed.  On
+    fixed instances, every retrigger checked."""
     walks, before = [], {}
     retrigger, process_day = Engine.retrigger, Engine.process_day
 
     def processing(eng, day, event, predicted_deletion_day=None):
-        before[eng] = endpoint_days(eng.schedule)
+        sched = eng.schedule
+        before[eng] = dict(sched.ins_day), dict(sched.del_day)
         yield from process_day(eng, day, event, predicted_deletion_day)
 
     def spy(eng, spans, moves):
         live = {nid for nid, mem in enumerate(eng.memory) if mem is not None}
-        old, new = before[eng], endpoint_days(eng.schedule)
-        never = eng.T + 1
-        moved = [(k[1], old.get(k, never), d) for k, d in new.items() if old.get(k, never) != d]
-        walks.append((eng, eng.current_day, list(spans), live, moved))
+        sched, never = eng.schedule, eng.T + 1
+        (ins0, del0), ins1, del1 = before[eng], sched.ins_day, sched.del_day
+        changed = [
+            (ins0.get(el, never), del0.get(el, never), ins1.get(el, never), del1.get(el, never))
+            for el in set(ins0) | set(del0) | set(ins1) | set(del1)
+            if (ins0.get(el), del0.get(el)) != (ins1.get(el), del1.get(el))
+        ]
+        walks.append((eng, eng.current_day, list(spans), live, changed))
         yield from retrigger(eng, spans, moves)
 
     monkeypatch.setattr(Engine, "process_day", processing)
@@ -567,7 +565,7 @@ def test_repair_walk_recomputes_exactly_the_windows_moves_touch(monkeypatch):
         recomputed.setdefault((eng, day), set()).add(nid)
     assert len(walks) > 100
     kept = 0
-    for eng, day, spans, live, moved in walks:
+    for eng, day, spans, live, changed in walks:
         tree = eng.tree
         reach = max(hi for _, hi in spans)
         below = set()
@@ -588,14 +586,13 @@ def test_repair_walk_recomputes_exactly_the_windows_moves_touch(monkeypatch):
                 n
                 for n in visited
                 if any(
-                    min(old, new)
-                    <= (tree.start[n] if kind == INSERT else tree.end[n])
-                    < max(old, new)
-                    for kind, old, new in moved
+                    (i0 <= tree.start[n] and d0 > tree.end[n])
+                    != (i1 <= tree.start[n] and d1 > tree.end[n])
+                    for i0, d0, i1, d1 in changed
                 )
             }
         kept += len(visited - expected)
-        assert recomputed.get((eng, day), set()) == expected, (day, spans, moved)
+        assert recomputed.get((eng, day), set()) == expected, (day, spans, changed)
     assert kept > 100  # the rule keeps windows the walk visits
 
 

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from oracles import engine_state
+from oracles import engine_state, misanswering_windows, retrigger_recomputes
 from predlift.decremental import DecrementalRun
 from predlift.engine import Engine, ScheduleBug, drain, run_offline, run_predicted
 from predlift.incremental import lift_incremental
@@ -101,7 +101,8 @@ def test_dragged_deletion_is_pushed_once():
     again by today's loop: with both of a's records on day 3 (the ordering
     fix moves the deletion there), either listing order ends with a
     inserted and deleted on day 5 after one push each, and the day's walk
-    is handed each endpoint's move once, beside z's add (from T+1)."""
+    is handed a's endpoint days before the day, (3, 3), once, beside z's,
+    (T+1, T+1), for the record added on the day."""
     ends = []
     for preds in ([P("a", INSERT, 3), P("a", DELETE, 2)], [P("a", DELETE, 2), P("a", INSERT, 3)]):
         eng = make_engine(16, preds)
@@ -110,7 +111,7 @@ def test_dragged_deletion_is_pushed_once():
         orig = eng.retrigger
 
         def spy(spans, moves):
-            walked.append((eng.current_day, sorted(moves)))
+            walked.append((eng.current_day, sorted(moves.items())))
             yield from orig(spans, moves)
 
         eng.retrigger = spy
@@ -119,10 +120,38 @@ def test_dragged_deletion_is_pushed_once():
         sched = eng.schedule
         assert (sched.ins_day["a"], sched.del_day["a"]) == (5, 5)
         assert eng.counters.reschedules == 2
-        assert walked[-1] == (3, [(DELETE, 3, 5), (INSERT, 3, 5), (INSERT, 17, 3)])
+        assert walked[-1] == (3, [("a", (3, 3)), ("z", (17, 17))])
         assert eng.outputs == [1, 2, 3]
         ends.append(sched.misses)
     assert ends[0] == ends[1] == {("a", INSERT): 1, ("a", DELETE): 1}
+
+
+def test_moved_insertion_keeps_windows_its_element_dies_inside():
+    """a is predicted inserted on day 6 and deleted on day 7, and arrives on
+    day 2.  The move crosses the start of every window starting on days
+    2-5, but one ending on day 7 or later has a alive across it neither
+    before the move nor after it, so the walk keeps it; one ending before
+    day 7 it recomputes, and every output equals the oracle's."""
+    T = 16
+    preds = [P("x", INSERT, 1), P("a", INSERT, 6), P("a", DELETE, 7)]
+    preds += [P(f"f{d}", INSERT, d) for d in (3, 4, 5)]
+    stream = [(1, Event("x", INSERT)), (2, Event("a", INSERT))]
+    stream += [(d, Event(f"f{d}", INSERT)) for d in (3, 4, 5)]
+    stream += [(6, Event("g", INSERT)), (7, Event("a", DELETE)), (8, Event("h", INSERT))]
+    eng = make_engine(T, preds, seed=9)
+    tree = eng.tree
+    span = {n: (tree.start[n], tree.end[n]) for n in range(tree.n_nodes())}
+    outlived = {n for n, (s, e) in span.items() if 2 <= s < 6 and e >= 7}
+    inside = {n for n, (s, e) in span.items() if 2 <= s < 6 and e < 7}
+    assert outlived and inside
+    with retrigger_recomputes() as recomputes:
+        for day, ev in stream:
+            drain(eng.process_day(day, ev))
+            assert not misanswering_windows(eng), day
+    on_day_2 = {nid for _, day, nid in recomputes if day == 2}
+    assert not on_day_2 & outlived
+    assert inside <= on_day_2
+    assert eng.outputs == oracle_daily_outputs("counter", stream)
 
 
 def test_out_of_order_day_rejected():
@@ -367,10 +396,9 @@ def test_full_retrigger_equals_preprocessing_cost():
     inst = exact_counter_instance(64, seed=2)
     eng = make_engine(inst.T, inst.predictions, seed=9)
     before = eng.counters.window_compute_units
-    # an element entering the schedule on day 0 and leaving it on day T+1
-    # crosses every window's start and end
-    everything = [(INSERT, 0, inst.T + 1), (DELETE, 0, inst.T + 1)]
-    drain(eng.retrigger([(1, inst.T)], everything))
+    # an element alive across every window before (inserted on day 0, never
+    # deleted) and absent from the schedule now leaves every alive-across set
+    drain(eng.retrigger([(1, inst.T)], {"ghost": (0, inst.T + 1)}))
     # recomputing everything below the root touches every window but the root
     assert eng.counters.retrigger_units >= before * 0.5
 

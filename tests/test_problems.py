@@ -3,6 +3,7 @@ isolation, MSF sparsifier soundness."""
 
 import random
 from collections import Counter
+from math import ceil, log2
 
 import pytest
 
@@ -99,7 +100,7 @@ def test_connectivity_insert_matches_the_find_reference():
 
 def test_decremental_max_examples():
     c = decremental_max_contract()
-    state, _ = c.initialize([("a", 5), ("b", 9), ("c", 2)], 10)
+    state, _ = c.initialize([("a", 5), ("b", 9), ("c", 2)])
     assert c.output(state) == 9
     c.delete(state, "b")
     assert c.output(state) == 5
@@ -108,6 +109,35 @@ def test_decremental_max_examples():
     assert c.output(state) is None
     with pytest.raises(ValueError):
         c.delete(state, "zzz")
+
+
+def test_decremental_max_tree_matches_a_sorted_list():
+    """Random deletes and clones against a sorted list of the values left:
+    every state answers its list's maximum, a deletion costs at most
+    1 + ceil(log2 size) units, and deleting an absent or deleted element
+    raises without changing the state."""
+    rng = random.Random(5)
+    c = decremental_max_contract()
+    for n in (0, 1, 2, 3, 5, 8, 13, 64, 100):
+        items = [(f"e{j}", rng.randrange(-20, 20)) for j in range(n)]
+        state, _ = c.initialize(items)
+        bound = 1 + ceil(log2(max(1, n)))
+        pool = [(state, sorted(items, key=lambda it: it[1]))]
+        for _ in range(4 * n + 4):
+            k = rng.randrange(len(pool))
+            state, left = pool[k]
+            if left and rng.random() < 0.2:
+                copy, _ = c.clone(state)
+                pool.append((copy, list(left)))
+            elif left:
+                element, _ = left.pop(rng.randrange(len(left)))
+                assert 1 <= c.delete(state, element) <= bound, (n, element)
+                with pytest.raises(ValueError):
+                    c.delete(state, element)
+            with pytest.raises(ValueError):
+                c.delete(state, "absent")
+            for kept, values in pool:
+                assert c.output(kept) == (values[-1][1] if values else None)
 
 
 def test_all_contracts_clone_isolation():
@@ -119,7 +149,7 @@ def test_all_contracts_clone_isolation():
     assert cc.output(s) == 1 and cc.output(s2) == 2
 
     dc = decremental_max_contract()
-    s, _ = dc.initialize([("a", 1), ("b", 2)], 4)
+    s, _ = dc.initialize([("a", 1), ("b", 2)])
     s2, _ = dc.clone(s)
     dc.delete(s2, "b")
     assert dc.output(s) == 2 and dc.output(s2) == 1
